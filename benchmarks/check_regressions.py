@@ -11,7 +11,7 @@ which is the committed ceiling/floor it must respect.  Unknown ``BENCH_*``
 files are reported but not enforced (add a rule when a new artifact lands);
 a known artifact with missing keys fails loudly — a silently renamed key
 must not disable its gate.  Every artifact must also carry an
-``environment`` block (CPU counts, numpy/scipy/numba versions, compiled
+``environment`` block (CPU counts, numpy/scipy versions, compiled
 backend) so a regression diff can tell a real slowdown from a machine or
 toolchain change.
 

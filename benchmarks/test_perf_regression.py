@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import run_once
+from oracles.policies import DepBenefit
 from repro.claims.functions import LinearClaim
 from repro.kernels import environment_metadata
 from repro.core.adaptive import AdaptiveMinVar, ground_truth_oracle, run_adaptive_trials
@@ -28,7 +29,7 @@ from repro.core.expected_variance import (
     expected_variance_monte_carlo,
     weighted_sum_pmf,
 )
-from repro.core.greedy import GreedyDep, GreedyMinVar
+from repro.core.greedy import GreedyDep, GreedyMinVar, greedy_select
 from repro.core.problems import budget_from_fraction
 from repro.experiments.efficiency import _build_scaled_workload
 from repro.experiments.figures import figure11_dependency, figure11c_gamma_grid
@@ -234,9 +235,9 @@ def test_adaptive_incremental_n2000(benchmark, report):
     Times the n = 2,000 AdaptiveMinVar run (URx uniqueness workload,
     ground-truth oracle, 20% budget) three ways:
 
-    * the pre-PR teardown loop (``incremental=False``: a full ``cleaned()``
-      database and a fresh calculator per step, O(n) per-candidate scalar
-      gains) — measured once, it is the slow baseline;
+    * the teardown loop (the exact-strategy path ``_run_exact``: a full
+      ``cleaned()`` database and a fresh calculator per step, O(n)
+      per-candidate scalar gains) — measured once, it is the slow baseline;
     * the incremental conditioning engine (reveal overlays,
       condition-chained calculators, neighbour-only gain updates) —
     best-of-``ADAPTIVE_REPEATS`` cold runs;
@@ -255,7 +256,7 @@ def test_adaptive_incremental_n2000(benchmark, report):
     oracle = ground_truth_oracle(truth)
 
     start = time.perf_counter()
-    scratch_run = AdaptiveMinVar(function, incremental=False).run(database, budget, oracle)
+    scratch_run = AdaptiveMinVar(function)._run_exact(database, budget, oracle)
     scratch_seconds = time.perf_counter() - start
 
     incremental_seconds = float("inf")
@@ -370,13 +371,15 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     Times the n = 500 GreedyDep selection (conditional mode, 20% budget)
     three ways:
 
-    * the pre-PR scratch loop (``incremental=False``: one pseudo-inverse
-      Schur complement per candidate per step) — measured once, it is the
-      slow baseline and doubles as the eager benefit-evaluation count;
+    * the scratch loop (``greedy_select`` over the oracle benefit in
+      ``tests/oracles/policies.py``: one pseudo-inverse Schur complement per
+      candidate per step) — measured once, it is the slow baseline and
+      doubles as the eager benefit-evaluation count;
     * the incremental engine (one rank-one downdate + one vectorized gains
       pass per step) — best-of-``DEP_REPEATS`` cold runs;
-    * the lazy (CELF) scratch path — same selections, far fewer Schur
-      complements; its evaluation count is the lazy-vs-eager artifact line.
+    * ``greedy_select(lazy=True)`` (CELF) over the same oracle benefit —
+      same selections, far fewer Schur complements; its evaluation count is
+      the lazy-vs-eager artifact line.
 
     Also times the paper-scale Figure 11 sweep (n = 2,000, marginal engine)
     and one conditional-mode n = 2,000 selection from the gamma-grid
@@ -385,11 +388,11 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     database, claim, model = _dep_workload(DEP_N)
     budget = database.total_cost * DEP_BUDGET_FRACTION
 
-    scratch_solver = GreedyDep(claim, model, incremental=False)
+    eager_benefit = DepBenefit(claim, model)
     start = time.perf_counter()
-    scratch_selected = scratch_solver.select_indices(database, budget)
+    scratch_selected = greedy_select(database, budget, eager_benefit)
     scratch_seconds = time.perf_counter() - start
-    eager_evaluations = scratch_solver.last_benefit_evaluations
+    eager_evaluations = eager_benefit.evaluations
 
     incremental_seconds = float("inf")
     incremental_selected = None
@@ -407,11 +410,11 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     )
     speedup = scratch_seconds / max(incremental_seconds, 1e-9)
 
-    # Lazy CELF on the scratch path: exact here (nonnegative weights over the
-    # nonnegative decaying covariance) with far fewer Schur complements.
-    lazy_solver = GreedyDep(claim, model, incremental=False, lazy=True)
+    # Lazy CELF over the scratch benefit: exact here (nonnegative weights over
+    # the nonnegative decaying covariance) with far fewer Schur complements.
+    lazy_benefit = DepBenefit(claim, model)
     start = time.perf_counter()
-    lazy_selected = lazy_solver.select_indices(database, budget)
+    lazy_selected = greedy_select(database, budget, lazy_benefit, lazy=True)
     lazy_seconds = time.perf_counter() - start
     assert lazy_selected == scratch_selected
 
@@ -447,7 +450,7 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
         "speedup": speedup,
         "speedup_floor": DEP_SPEEDUP_FLOOR,
         "eager_benefit_evaluations": eager_evaluations,
-        "lazy_benefit_evaluations": lazy_solver.last_benefit_evaluations,
+        "lazy_benefit_evaluations": lazy_benefit.evaluations,
         "lazy_scratch_seconds": lazy_seconds,
         "scaled_n_objects": DEP_SCALED_N,
         "scaled_budget_fractions": list(DEP_SCALED_BUDGETS),
@@ -461,7 +464,7 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
         "GreedyDep conditioning engine (n=500, 20% budget): "
         f"scratch {scratch_seconds:.2f}s, incremental {incremental_seconds:.3f}s "
         f"({speedup:.0f}x, floor {DEP_SPEEDUP_FLOOR:.0f}x); "
-        f"lazy CELF {lazy_solver.last_benefit_evaluations} vs eager "
+        f"lazy CELF {lazy_benefit.evaluations} vs eager "
         f"{eager_evaluations} benefit evaluations; "
         f"n={DEP_SCALED_N} sweep {scaled_sweep_seconds:.2f}s, "
         f"conditional selection {conditional_scaled_seconds:.2f}s; "
@@ -472,4 +475,4 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
         f"incremental GreedyDep took {incremental_seconds:.3f}s vs scratch "
         f"{scratch_seconds:.2f}s — only {speedup:.1f}x (floor {DEP_SPEEDUP_FLOOR}x)"
     )
-    assert lazy_solver.last_benefit_evaluations < eager_evaluations
+    assert lazy_benefit.evaluations < eager_evaluations

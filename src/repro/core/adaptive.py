@@ -22,17 +22,17 @@ Three policies are provided:
   is one reveal, one O(n^2) downdate, and one vectorized scoring pass over
   every remaining candidate.
 
-Both interact with the world through a *reveal oracle* — any callable mapping
-an object index to its true value.  :func:`ground_truth_oracle` builds one
-from a fixed hidden world (the usual simulation setup);
+All three interact with the world through a *reveal oracle* — any callable
+mapping an object index to its true value.  :func:`ground_truth_oracle`
+builds one from a fixed hidden world (the usual simulation setup);
 :func:`sampling_oracle` draws outcomes from the error model instead.
 
 Incremental conditioning engine
 -------------------------------
 
 A reveal is a *small* event: it pins one object and leaves everything else
-untouched.  The default (``incremental=True``) policies exploit that
-end to end instead of tearing the stack down every step:
+untouched.  The policies exploit that end to end instead of tearing the
+stack down every step:
 
 * the working database is a :meth:`~repro.uncertainty.database.UncertainDatabase.conditioned`
   reveal overlay (shared cost/name state, delta-patched stat vectors), not a
@@ -48,10 +48,9 @@ end to end instead of tearing the stack down every step:
 * the affordable-candidate set is a persistent boolean mask pruned in place
   (feasibility is monotone), not an O(n) list rebuild per step.
 
-``incremental=False`` retains the original teardown loops — a fresh
-``cleaned()`` database and calculator per step, per-candidate scalar scoring —
-as the reference twin; ``tests/test_adaptive_incremental.py`` pins the two
-paths to identical runs.  :func:`run_adaptive_trials` batches the Monte-Carlo
+The one exception is AdaptiveMinVar on claims only exact enumeration can
+score (``ev_strategy`` ``"exact"``): it rebuilds a ``cleaned()`` database
+and calculator per step.  :func:`run_adaptive_trials` batches the Monte-Carlo
 ablation across trials: one rng draws every hidden world in a single stacked
 ``sample_worlds`` call and all trials share the policy's per-database
 precomputation (base calculator, memoized pieces, singleton kernel).
@@ -60,7 +59,7 @@ precomputation (base calculator, memoized pieces, singleton kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -179,20 +178,20 @@ class AdaptiveMinVar(_AdaptivePolicy):
     distribution — unlike the static GreedyMinVar, which evaluates everything
     against the prior.
 
-    The default path is the incremental conditioning engine (overlay
-    databases, ``DecomposedEVCalculator.condition`` chains with surviving
-    memo tables, neighbour-only gain updates, O(1) contribution updates for
-    linear claims); ``incremental=False`` runs the retained teardown loop
-    that rebuilds the database and calculator from scratch every step.  The
-    two paths produce identical runs.
+    Claim-quality measures on discrete databases and linear claims run on
+    the incremental conditioning engine (overlay databases,
+    ``DecomposedEVCalculator.condition`` chains with surviving memo tables,
+    neighbour-only gain updates, O(1) contribution updates for linear
+    claims); every other claim takes the exact-enumeration teardown loop,
+    which rebuilds the database and calculator every step.  The paths
+    produce identical runs wherever more than one applies.
     """
 
     name = "AdaptiveMinVar"
 
-    def __init__(self, function: ClaimFunction, min_gain: float = 1e-12, incremental: bool = True):
+    def __init__(self, function: ClaimFunction, min_gain: float = 1e-12):
         self.function = function
         self.min_gain = min_gain
-        self.incremental = bool(incremental)
         self._prepared: Optional[Tuple] = None
 
     def run(
@@ -202,18 +201,15 @@ class AdaptiveMinVar(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Clean adaptively until the budget is exhausted or nothing helps."""
-        if not self.incremental:
-            return self._run_scratch(database, budget, oracle)
-        # ev_strategy is the same routing make_ev_calculator applies inside
-        # the scratch twin, so both paths take one mathematical route.
+        # ev_strategy is the routing make_ev_calculator applies inside the
+        # exact loop, so every path takes the calculator's mathematical route.
         strategy = ev_strategy(database, self.function)
         if strategy == "decomposed":
             return self._run_decomposed(database, budget, oracle)
         if strategy == "linear":
             return self._run_linear(database, budget, oracle)
-        return self._run_scratch(database, budget, oracle)
+        return self._run_exact(database, budget, oracle)
 
-    # -- incremental paths -------------------------------------------------- #
     def _run_linear(
         self, database: UncertainDatabase, budget: float, oracle: RevealOracle
     ) -> AdaptiveRun:
@@ -225,8 +221,8 @@ class AdaptiveMinVar(_AdaptivePolicy):
         ratio), and the best candidate is a masked argmax.  The objective is
         deliberately re-summed per step rather than kept as a running
         difference — one vectorized ``np.sum`` buys bit-identical agreement
-        with the scratch twin's closed-form evaluation, where a k-step
-        running subtraction would accumulate drift.
+        with :func:`~repro.core.expected_variance.linear_expected_variance`,
+        where a k-step running subtraction would accumulate drift.
         """
         n = len(database)
         costs = database.costs
@@ -361,11 +357,14 @@ class AdaptiveMinVar(_AdaptivePolicy):
                     gains[i] = calculator.marginal_gain(_EMPTY_FROZEN, i)
                     ratios[i] = gains[i] / costs[i]
 
-    # -- retained scratch twin ---------------------------------------------- #
-    def _run_scratch(
+    def _run_exact(
         self, database: UncertainDatabase, budget: float, oracle: RevealOracle
     ) -> AdaptiveRun:
-        """The original teardown loop: full rebuild of database + calculator per step."""
+        """Teardown loop for claims only exact enumeration can score.
+
+        Each step rebuilds the ``cleaned()`` database and its calculator and
+        scores each affordable candidate with one calculator call.
+        """
         working = database
         costs = database.costs
         run = AdaptiveRun()
@@ -424,12 +423,10 @@ class AdaptiveMaxPr(_AdaptivePolicy):
     per-object drop statistics; only the required drop changes per step) and
     keeps the working database as a reveal overlay; functions without a
     batched singleton path fall back to a per-candidate calculator per step.
-    ``incremental=False`` retains the original teardown loop.  On
-    all-discrete databases the two paths produce identical runs; on
-    all-normal databases the incremental path keeps the Lemma 3.3 closed
-    form for the whole run, whereas the teardown loop loses it after the
+    On all-normal databases the overlay keeps the Lemma 3.3 closed form for
+    the whole run, where a ``cleaned()`` rebuild would lose it after the
     first reveal (the cleaned point mass makes the database mixed and forces
-    its per-step calculator onto the Monte-Carlo fallback).
+    a per-step calculator onto the Monte-Carlo fallback).
     """
 
     name = "AdaptiveMaxPr"
@@ -439,12 +436,10 @@ class AdaptiveMaxPr(_AdaptivePolicy):
         function: ClaimFunction,
         tau: float = 0.0,
         min_gain: float = 1e-12,
-        incremental: bool = True,
     ):
         self.function = function
         self.tau = tau
         self.min_gain = min_gain
-        self.incremental = bool(incremental)
         self._prepared: Optional[Tuple[UncertainDatabase, SingletonSurpriseKernel]] = None
 
     def _kernel_for(self, database: UncertainDatabase) -> SingletonSurpriseKernel:
@@ -462,8 +457,6 @@ class AdaptiveMaxPr(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Execute the adaptive loop: reveal, update beliefs, re-plan (see class docs)."""
-        if not self.incremental:
-            return self._run_scratch(database, budget, oracle)
         baseline = float(self.function.evaluate(database.current_values))
         target = baseline - self.tau
         n = len(database)
@@ -528,68 +521,6 @@ class AdaptiveMaxPr(_AdaptivePolicy):
             run.final_objective = run.steps[-1].objective_after
             current_value = after_value
 
-    # -- retained scratch twin ---------------------------------------------- #
-    def _run_scratch(
-        self, database: UncertainDatabase, budget: float, oracle: RevealOracle
-    ) -> AdaptiveRun:
-        """The original teardown loop: fresh database, calculator and candidate list per step."""
-        baseline = float(self.function.evaluate(database.current_values))
-        target = baseline - self.tau
-        working = database
-        costs = database.costs
-        run = AdaptiveRun()
-        spent = 0.0
-        cleaned: set = set()
-
-        while True:
-            current_value = float(self.function.evaluate(working.current_values))
-            if current_value < target - 1e-12:
-                # The revealed data already supports the counterargument.
-                run.final_objective = 1.0
-                run.stopped_early = True
-                return run
-
-            candidates = [
-                i
-                for i in range(len(database))
-                if i not in cleaned and spent + costs[i] <= budget + 1e-9
-            ]
-            if not candidates:
-                run.final_objective = 0.0
-                return run
-
-            # The surprise calculator measures drops relative to the *working*
-            # database's current values, so express the original target as the
-            # drop still required from the current (partially revealed) state.
-            required_drop = current_value - target
-            calculator = make_surprise_calculator(
-                working, self.function, tau=max(required_drop, 0.0)
-            )
-            scores: Dict[int, float] = {i: calculator([i]) for i in candidates}
-            best = max(candidates, key=lambda i: scores[i] / costs[i])
-            if scores[best] <= self.min_gain:
-                run.final_objective = 0.0
-                run.stopped_early = True
-                return run
-
-            revealed = oracle(best)
-            before = scores[best]
-            working = working.cleaned({best: revealed})
-            cleaned.add(best)
-            spent += costs[best]
-            after_value = float(self.function.evaluate(working.current_values))
-            run.steps.append(
-                AdaptiveStep(
-                    index=best,
-                    revealed_value=revealed,
-                    cost=float(costs[best]),
-                    objective_before=before,
-                    objective_after=1.0 if after_value < target - 1e-12 else 0.0,
-                )
-            )
-            run.total_cost = spent
-            run.final_objective = run.steps[-1].objective_after
-
 
 @register_solver
 class AdaptiveDep(_AdaptivePolicy):
@@ -611,9 +542,7 @@ class AdaptiveDep(_AdaptivePolicy):
     safeguard); what adaptivity adds is the recorded trajectory — the actual
     reveals and the conditional-variance profile — and early stopping once no
     affordable candidate reduces the variance by more than ``min_gain``.
-    ``conditional=False`` uses the marginal (Theorem 3.9) semantics, and
-    ``incremental=False`` retains the teardown twin that recomputes every
-    candidate's post-cleaning variance from scratch each step.
+    ``conditional=False`` uses the marginal (Theorem 3.9) semantics.
     """
 
     name = "AdaptiveDep"
@@ -624,7 +553,6 @@ class AdaptiveDep(_AdaptivePolicy):
         model: GaussianWorldModel,
         min_gain: float = 1e-12,
         conditional: bool = True,
-        incremental: bool = True,
     ):
         if not function.is_linear():
             raise TypeError("AdaptiveDep requires a linear query function")
@@ -632,7 +560,6 @@ class AdaptiveDep(_AdaptivePolicy):
         self.model = model
         self.min_gain = min_gain
         self.conditional = bool(conditional)
-        self.incremental = bool(incremental)
         self._prepared = None
 
     def run(
@@ -642,8 +569,6 @@ class AdaptiveDep(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Execute the adaptive loop: reveal, update beliefs, re-plan (see class docs)."""
-        if not self.incremental:
-            return self._run_scratch(database, budget, oracle)
         n = len(database)
         costs = database.costs
         weights = self.function.weights(n)
@@ -690,64 +615,6 @@ class AdaptiveDep(_AdaptivePolicy):
             # re-scores all of them — one vectorized pass on the engine.
             gains = engine.gains()
             ratios = np.where(feasible, gains / costs, -np.inf)
-
-    # -- retained scratch twin ---------------------------------------------- #
-    def _variance_after_scratch(self, weights: np.ndarray, cleaned: Sequence[int]) -> float:
-        if self.conditional:
-            return self.model.post_cleaning_variance(weights, cleaned)
-        n = self.model.size
-        cleaned_set = set(int(i) for i in cleaned)
-        remaining = [i for i in range(n) if i not in cleaned_set]
-        w = weights[remaining]
-        sub = self.model.covariance[np.ix_(remaining, remaining)]
-        return float(w @ sub @ w)
-
-    def _run_scratch(
-        self, database: UncertainDatabase, budget: float, oracle: RevealOracle
-    ) -> AdaptiveRun:
-        """Teardown loop: one Schur complement per candidate per step."""
-        n = len(database)
-        costs = database.costs
-        weights = self.function.weights(n)
-        run = AdaptiveRun()
-        spent = 0.0
-        cleaned: List[int] = []
-
-        while True:
-            current = self._variance_after_scratch(weights, cleaned)
-            candidates = [
-                i
-                for i in range(n)
-                if i not in cleaned and spent + costs[i] <= budget + 1e-9
-            ]
-            if not candidates:
-                run.final_objective = current
-                return run
-            gains = {
-                i: current - self._variance_after_scratch(weights, cleaned + [i])
-                for i in candidates
-            }
-            best = max(candidates, key=lambda i: gains[i] / costs[i])
-            if gains[best] <= self.min_gain:
-                run.final_objective = current
-                run.stopped_early = True
-                return run
-
-            revealed = oracle(best)
-            cleaned.append(best)
-            spent += costs[best]
-            after = self._variance_after_scratch(weights, cleaned)
-            run.steps.append(
-                AdaptiveStep(
-                    index=best,
-                    revealed_value=float(revealed),
-                    cost=float(costs[best]),
-                    objective_before=current,
-                    objective_after=after,
-                )
-            )
-            run.total_cost = spent
-            run.final_objective = after
 
 
 @dataclass

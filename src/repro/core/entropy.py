@@ -19,7 +19,6 @@ objectives make on the same workload.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.uncertainty.database import UncertainDatabase
 
 __all__ = [
     "entropy_of_pmf",
-    "entropy_of_pmf_scalar",
     "result_entropy",
     "expected_entropy",
     "GreedyMinEntropy",
@@ -61,25 +59,14 @@ def entropy_of_pmf(probabilities: Iterable[float]) -> float:
     return float(-np.dot(positive, np.log2(positive)))
 
 
-def entropy_of_pmf_scalar(probabilities: Iterable[float]) -> float:
-    """Retained per-outcome loop (the reference for the equivalence tests)."""
-    total = 0.0
-    for p in probabilities:
-        if p < -1e-12:
-            raise ValueError("probabilities must be nonnegative")
-        if p > 1e-15:
-            total -= p * math.log2(p)
-    return float(total)
-
-
-# Both pmf paths snap results to the 12-decimal grid first (the pre-existing
+# Result pmfs snap results to the 12-decimal grid first (the pre-existing
 # convention) and then merge *adjacent* grid keys: floating-point noise from
 # different summation orders can land the same outcome on two neighbouring
 # grid keys, which would split a group and inflate the entropy.  The
 # tolerance sits strictly between one and two grid steps, so
 # boundary-straddling noise always merges while outcomes two grid steps
-# (2e-12) apart stay distinct in both paths — the same resolution the
-# rounding alone already imposed.  (Adjacency chaining means a pathological
+# (2e-12) apart stay distinct — the same resolution the rounding alone
+# already imposed.  (Adjacency chaining means a pathological
 # pmf with *every* gap at exactly one grid step collapses, but outcomes that
 # dense are indistinguishable from noise at this grain anyway.)
 _OUTCOME_MERGE_TOLERANCE = 1.5e-12
@@ -91,9 +78,8 @@ def _merge_close_outcomes(
     """Merge sorted outcome values closer than ``atol`` into one group each.
 
     Grouping is by adjacency gaps, so it does not depend on where rounding
-    boundaries happen to fall — the property that makes the scalar and
-    vectorized pmfs group identically even though their result floats differ
-    in the last ulps.
+    boundaries happen to fall: results whose floats differ in the last ulps
+    (different summation orders) still group identically.
     """
     if values.size <= 1:
         return values, masses
@@ -116,11 +102,9 @@ def _result_pmf_arrays(
     objects (the PR-1 convolution kernel) shifted by the fixed/base
     contribution; anything else evaluates the free joint support in batched
     ``(rows, n)`` blocks with ``evaluate_batch``.  Either way the results are
-    snapped to the scalar path's 12-decimal grid, equal keys merged with
-    ``np.unique`` + ``np.bincount``, and neighbouring grid keys noise-merged
-    by adjacency (:func:`_merge_close_outcomes`) — the combination that keeps
-    the grouping identical to the scalar dict even though the raw result
-    floats differ in the last ulps.  Returns sorted
+    snapped to the 12-decimal grid, equal keys merged with ``np.unique`` +
+    ``np.bincount``, and neighbouring grid keys noise-merged by adjacency
+    (:func:`_merge_close_outcomes`).  Returns sorted
     ``(values, probabilities)``.
     """
     free = list(free_indices)
@@ -151,53 +135,17 @@ def _result_pmf_arrays(
     return _merge_close_outcomes(merged, mass)
 
 
-def _result_pmf(
-    database: UncertainDatabase,
-    function: ClaimFunction,
-    free_indices: Sequence[int],
-    fixed: Dict[int, float],
-) -> Dict[float, float]:
-    """Retained scalar path: per-world dict accumulation (reference twin)."""
-    base = database.current_values
-    pmf: Dict[float, float] = {}
-    for assignment, probability in database.enumerate_joint_support(free_indices):
-        values = np.array(base, copy=True)
-        for index, value in fixed.items():
-            values[index] = value
-        for index, value in assignment.items():
-            values[index] = value
-        result = round(float(function.evaluate(values)), 12)
-        pmf[result] = pmf.get(result, 0.0) + probability
-    # The same adjacency noise-merge the array path applies, walked pairwise.
-    merged: Dict[float, float] = {}
-    anchor = previous = None
-    for value in sorted(pmf):
-        if previous is None or value - previous > _OUTCOME_MERGE_TOLERANCE:
-            anchor = value
-            merged[anchor] = pmf[value]
-        else:
-            merged[anchor] += pmf[value]
-        previous = value
-    return merged
-
-
-def result_entropy(
-    database: UncertainDatabase, function: ClaimFunction, vectorized: bool = True
-) -> float:
+def result_entropy(database: UncertainDatabase, function: ClaimFunction) -> float:
     """Entropy of ``f(X)`` under the database's (independent, discrete) error model."""
     referenced = sorted(function.referenced_indices)
-    if vectorized:
-        _values, mass = _result_pmf_arrays(database, function, referenced, {})
-        return entropy_of_pmf(mass)
-    pmf = _result_pmf(database, function, referenced, {})
-    return entropy_of_pmf_scalar(pmf.values())
+    _values, mass = _result_pmf_arrays(database, function, referenced, {})
+    return entropy_of_pmf(mass)
 
 
 def expected_entropy(
     database: UncertainDatabase,
     function: ClaimFunction,
     cleaned: Iterable[int],
-    vectorized: bool = True,
 ) -> float:
     """Expected post-cleaning entropy ``EH(T)`` (the entropy analogue of EV).
 
@@ -205,8 +153,7 @@ def expected_entropy(
     objects) and averages the conditional entropy of the result.  Like the
     exact EV computation this is exponential in the number of referenced
     objects and meant for small workloads and ablations.  The conditional
-    pmfs run through the array kernels by default; ``vectorized=False`` is
-    the retained per-world scalar loop.
+    pmfs run through the array kernels.
     """
     cleaned_set = frozenset(int(i) for i in cleaned)
     referenced = function.referenced_indices
@@ -215,12 +162,8 @@ def expected_entropy(
 
     total = 0.0
     for assignment, probability in database.enumerate_joint_support(cleaned_referenced):
-        if vectorized:
-            _values, mass = _result_pmf_arrays(database, function, free, dict(assignment))
-            total += probability * entropy_of_pmf(mass)
-        else:
-            pmf = _result_pmf(database, function, free, dict(assignment))
-            total += probability * entropy_of_pmf_scalar(pmf.values())
+        _values, mass = _result_pmf_arrays(database, function, free, dict(assignment))
+        total += probability * entropy_of_pmf(mass)
     return float(total)
 
 

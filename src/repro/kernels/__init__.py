@@ -5,15 +5,15 @@ Public surface::
     from repro import kernels
 
     with kernels.kernel_tier("compiled"):
-        ...  # engines route downdates/gains/convolutions through the
-             # compiled backend (numba if importable, else cffi + cc)
+        ...  # engines route downdates and surprise scoring through the
+             # cffi-built C library
 
-Tiers: ``scalar`` (pure-Python reference), ``numpy`` (default, the original
-inline expressions), ``compiled`` (numba or cffi/C; warns once and behaves
-like numpy when neither backend is available).  Environment variables
-``REPRO_KERNEL``, ``REPRO_KERNEL_DTYPE``, ``REPRO_KERNEL_BACKEND`` and
-``REPRO_KERNEL_CACHE`` configure tier, working precision, compiled-backend
-preference and the compilation cache directory.
+Tiers: ``numpy`` (default, the original inline expressions) and
+``compiled`` (C via cffi for ``outer_downdate``, ``banded_downdate`` and
+``normal_surprise_scores``, numpy for the rest; warns once and behaves like
+numpy when the C library cannot be built).  Environment variables
+``REPRO_KERNEL``, ``REPRO_KERNEL_DTYPE`` and ``REPRO_KERNEL_CACHE``
+configure tier, working precision and the compilation cache directory.
 """
 
 from repro.kernels.dispatch import (

@@ -27,36 +27,16 @@ void outer_downdate_f64(double *matrix, const double *column, double pivot,
 void banded_downdate_f64(double *bands, long long n_bands, long long n,
                          long long lo, const double *column, long long m,
                          double pivot);
-long long convolve_support_f64(const double *values, const double *probabilities,
-                               long long n, const double *contributions,
-                               const double *contribution_probabilities,
-                               long long m, double *workspace,
-                               double *out_values, double *out_probabilities);
 void normal_surprise_f64(const double *shifts, const double *sds, double tau,
                          double *out, long long n);
-void conditional_gains_f64(const double *matvec, const double *diagonal,
-                           const double *floor_, double *out, long long n);
-void marginal_gains_f64(const double *weights, const double *matvec,
-                        const double *diagonal, const unsigned char *cleaned,
-                        double *out, long long n);
 
 void outer_downdate_f32(float *matrix, const float *column, float pivot,
                         long long n);
 void banded_downdate_f32(float *bands, long long n_bands, long long n,
                          long long lo, const float *column, long long m,
                          float pivot);
-long long convolve_support_f32(const float *values, const float *probabilities,
-                               long long n, const float *contributions,
-                               const float *contribution_probabilities,
-                               long long m, float *workspace,
-                               float *out_values, float *out_probabilities);
 void normal_surprise_f32(const float *shifts, const float *sds, float tau,
                          float *out, long long n);
-void conditional_gains_f32(const float *matvec, const float *diagonal,
-                           const float *floor_, float *out, long long n);
-void marginal_gains_f32(const float *weights, const float *matvec,
-                        const float *diagonal, const unsigned char *cleaned,
-                        float *out, long long n);
 """
 
 _TEMPLATE = r"""
@@ -100,50 +80,6 @@ void banded_downdate_f64(double *bands, long long n_bands, long long n,
     }
 }
 
-static int _compare_pairs_f64(const void *a, const void *b) {
-    double va = ((const double *)a)[0];
-    double vb = ((const double *)b)[0];
-    if (va < vb) return -1;
-    if (va > vb) return 1;
-    return 0;
-}
-
-/* One discrete-convolution step: outer sums of the accumulated support with
- * the new term's contributions, masses multiplied, equal sums merged.
- * `workspace` holds 2 * n * m doubles (interleaved value/mass pairs);
- * `out_values` / `out_probabilities` hold n * m each.  Returns the merged
- * support size.  Matches the numpy tier's np.unique merge: values equal
- * under `==` (including -0.0 == 0.0) collapse into one entry whose mass is
- * the sum of the colliding masses.
- */
-long long convolve_support_f64(const double *values, const double *probabilities,
-                               long long n, const double *contributions,
-                               const double *contribution_probabilities,
-                               long long m, double *workspace,
-                               double *out_values, double *out_probabilities) {
-    long long i, j, t, total = n * m, merged = 0;
-    for (i = 0; i < n; i++) {
-        for (j = 0; j < m; j++) {
-            long long at = 2 * (i * m + j);
-            workspace[at] = values[i] + contributions[j];
-            workspace[at + 1] = probabilities[i] * contribution_probabilities[j];
-        }
-    }
-    qsort(workspace, (size_t)total, 2 * sizeof(double), _compare_pairs_f64);
-    for (t = 0; t < total; t++) {
-        double value = workspace[2 * t];
-        double mass = workspace[2 * t + 1];
-        if (merged > 0 && out_values[merged - 1] == value) {
-            out_probabilities[merged - 1] += mass;
-        } else {
-            out_values[merged] = value;
-            out_probabilities[merged] = mass;
-            merged++;
-        }
-    }
-    return merged;
-}
-
 /* Batched singleton surprise: Phi((-tau - shift) / sd) per component, with
  * the degenerate (sd <= 0) convention `1 if shift < -tau else 0` shared by
  * the scalar calculators.  Phi(z) = erfc(-z / sqrt(2)) / 2.
@@ -162,31 +98,6 @@ void normal_surprise_f64(const double *shifts, const double *sds, double tau,
         }
     }
 }
-
-/* Conditional-mode gains pass: v^2 / diag where diag clears its pivot
- * floor, 0 elsewhere (cleaned rows and degenerate pivots).
- */
-void conditional_gains_f64(const double *matvec, const double *diagonal,
-                           const double *floor_, double *out, long long n) {
-    long long i;
-    for (i = 0; i < n; i++) {
-        double d = diagonal[i];
-        double v = matvec[i];
-        out[i] = d > floor_[i] ? (v * v) / d : (double)0.0;
-    }
-}
-
-/* Marginal-mode (Theorem 3.9) gains pass: 2 w v - w^2 diag, 0 for cleaned. */
-void marginal_gains_f64(const double *weights, const double *matvec,
-                        const double *diagonal, const unsigned char *cleaned,
-                        double *out, long long n) {
-    long long i;
-    for (i = 0; i < n; i++) {
-        double w = weights[i];
-        out[i] = cleaned[i] ? (double)0.0
-                            : (double)2.0 * w * matvec[i] - (w * w) * diagonal[i];
-    }
-}
 """
 
 
@@ -200,7 +111,7 @@ def _float32_variant(source: str) -> str:
 
 
 C_SOURCE = (
-    "#include <math.h>\n#include <stdlib.h>\n#include <stddef.h>\n"
+    "#include <math.h>\n#include <stddef.h>\n"
     + _TEMPLATE
     + _float32_variant(_TEMPLATE)
 )

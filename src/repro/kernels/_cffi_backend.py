@@ -1,7 +1,6 @@
 """Build and load the C kernels with a system compiler + cffi (ABI mode).
 
-This is the fallback compiled backend for machines without numba: the C
-translation unit in :mod:`repro.kernels._c_source` is compiled once per
+The C translation unit in :mod:`repro.kernels._c_source` is compiled once per
 source revision with the system C compiler (``cc``/``gcc``/``clang``) into a
 content-addressed shared library, then loaded with ``cffi.FFI().dlopen`` —
 no setuptools build step and no import-time cost when the library is already

@@ -1,13 +1,13 @@
-"""The compiled kernel tier: numba if importable, else the cffi C backend.
+"""The compiled kernel tier: the cffi C backend for three kernels.
 
-Backend resolution order (overridable with ``REPRO_KERNEL_BACKEND``):
-
-1. ``numba`` — jitted loops, per-dtype specialization, on-disk cache;
-2. ``cffi`` — the C translation unit in :mod:`repro.kernels._c_source`
-   compiled with the system compiler and loaded in ABI mode;
-3. neither — :func:`load_implementations` returns ``None`` and
-   :func:`unavailable_reason` explains why, so the dispatch layer can fall
-   back to the numpy tier with a single warning.
+The C translation unit in :mod:`repro.kernels._c_source` is compiled with
+the system compiler and loaded in ABI mode (:mod:`repro.kernels._cffi_backend`).
+It covers the kernels where compiled loops beat numpy — ``outer_downdate``,
+``banded_downdate`` and ``normal_surprise_scores``; the dispatch layer runs
+the numpy implementation of every other kernel on the compiled tier too.
+When the library cannot be built or loaded, :func:`load_implementations`
+returns ``None`` and :func:`unavailable_reason` explains why, so the
+dispatch layer can fall back to the numpy tier with a single warning.
 
 The cffi wrappers pass raw pointers, so they require C-contiguous arrays of
 a supported dtype (float64/float32); the dispatch layer's call sites
@@ -18,8 +18,7 @@ to a kernel directly in a test).
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -39,18 +38,14 @@ _UNAVAILABLE_REASON: Optional[str] = None
 _SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 
 
-def _usable(array: np.ndarray) -> bool:
-    return array.flags.c_contiguous and array.dtype in _SUFFIX
-
-
 def _usable_together(*arrays: np.ndarray) -> bool:
     """All arrays contiguous, supported, and of ONE dtype.
 
     The C functions take homogeneous pointers; a caller mixing float32 and
-    float64 arrays (e.g. a float32 engine handed a float64 floor) must fall
+    float64 arrays (e.g. a float32 engine handed a float64 column) must fall
     back to numpy's promoting semantics, not get reinterpreted memory.
     """
-    return all(_usable(a) for a in arrays) and (
+    return all(a.flags.c_contiguous and a.dtype in _SUFFIX for a in arrays) and (
         len({a.dtype for a in arrays}) == 1
     )
 
@@ -61,9 +56,6 @@ def _build_cffi_implementations(ffi, lib) -> Dict[str, Callable]:
     def _ptr(array: np.ndarray):
         kind = "double *" if array.dtype == np.float64 else "float *"
         return ffi.cast(kind, array.ctypes.data)
-
-    def _mask_ptr(mask: np.ndarray):
-        return ffi.cast("unsigned char *", mask.ctypes.data)
 
     def outer_downdate(matrix, column, pivot):
         if not _usable_together(matrix, column):
@@ -85,29 +77,6 @@ def _build_cffi_implementations(ffi, lib) -> Dict[str, Callable]:
             pivot,
         )
 
-    def convolve_support(values, probabilities, contributions, cprobs):
-        if not _usable_together(values, probabilities, contributions, cprobs):
-            return numpy_impl.convolve_support(
-                values, probabilities, contributions, cprobs
-            )
-        fn = getattr(lib, f"convolve_support_{_SUFFIX[values.dtype]}")
-        total = values.size * contributions.size
-        workspace = np.empty(2 * total, dtype=values.dtype)
-        out_values = np.empty(total, dtype=values.dtype)
-        out_probabilities = np.empty(total, dtype=values.dtype)
-        merged = fn(
-            _ptr(values),
-            _ptr(probabilities),
-            values.size,
-            _ptr(contributions),
-            _ptr(cprobs),
-            contributions.size,
-            _ptr(workspace),
-            _ptr(out_values),
-            _ptr(out_probabilities),
-        )
-        return out_values[:merged].copy(), out_probabilities[:merged].copy()
-
     def normal_surprise_scores(shifts, sds, tau):
         if not _usable_together(shifts, sds):
             return numpy_impl.normal_surprise_scores(shifts, sds, tau)
@@ -116,37 +85,10 @@ def _build_cffi_implementations(ffi, lib) -> Dict[str, Callable]:
         fn(_ptr(shifts), _ptr(sds), tau, _ptr(out), shifts.size)
         return out
 
-    def conditional_gains(matvec, diagonal, floor):
-        if not _usable_together(matvec, diagonal, floor):
-            return numpy_impl.conditional_gains(matvec, diagonal, floor)
-        fn = getattr(lib, f"conditional_gains_{_SUFFIX[matvec.dtype]}")
-        out = np.empty(matvec.shape, dtype=matvec.dtype)
-        fn(_ptr(matvec), _ptr(diagonal), _ptr(floor), _ptr(out), matvec.size)
-        return out
-
-    def marginal_gains(weights, matvec, diagonal, cleaned_mask):
-        mask = np.ascontiguousarray(cleaned_mask, dtype=np.uint8)
-        if not _usable_together(weights, matvec, diagonal):
-            return numpy_impl.marginal_gains(weights, matvec, diagonal, cleaned_mask)
-        fn = getattr(lib, f"marginal_gains_{_SUFFIX[matvec.dtype]}")
-        out = np.empty(matvec.shape, dtype=matvec.dtype)
-        fn(
-            _ptr(weights),
-            _ptr(matvec),
-            _ptr(diagonal),
-            _mask_ptr(mask),
-            _ptr(out),
-            matvec.size,
-        )
-        return out
-
     return {
         "outer_downdate": outer_downdate,
         "banded_downdate": banded_downdate,
-        "convolve_support": convolve_support,
         "normal_surprise_scores": normal_surprise_scores,
-        "conditional_gains": conditional_gains,
-        "marginal_gains": marginal_gains,
     }
 
 
@@ -155,54 +97,29 @@ def _resolve() -> None:
     if _RESOLVED:
         return
     _RESOLVED = True
-    requested = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
-    if requested not in ("auto", "numba", "cffi"):
-        raise ValueError(
-            f"REPRO_KERNEL_BACKEND={requested!r} is not one of 'auto', 'numba', 'cffi'"
-        )
-    reasons = []
-    if requested in ("auto", "numba"):
-        from repro.kernels import _numba_backend
+    from repro.kernels import _cffi_backend
 
-        if _numba_backend.AVAILABLE:
-            _BACKEND = "numba"
-            _IMPLEMENTATIONS = dict(_numba_backend.IMPLEMENTATIONS)
-            return
-        reasons.append(f"numba: {_numba_backend.UNAVAILABLE_REASON}")
-    if requested in ("auto", "cffi"):
-        from repro.kernels import _cffi_backend
-
-        loaded = _cffi_backend.load_library()
-        if loaded is not None:
-            _BACKEND = "cffi"
-            _IMPLEMENTATIONS = _build_cffi_implementations(*loaded)
-            return
-        reasons.append(f"cffi: {_cffi_backend.UNAVAILABLE_REASON}")
-    _UNAVAILABLE_REASON = "; ".join(reasons)
+    loaded = _cffi_backend.load_library()
+    if loaded is None:
+        _UNAVAILABLE_REASON = f"cffi: {_cffi_backend.UNAVAILABLE_REASON}"
+        return
+    _BACKEND = "cffi"
+    _IMPLEMENTATIONS = _build_cffi_implementations(*loaded)
 
 
 def load_implementations() -> Optional[Dict[str, Callable]]:
-    """The compiled implementation table, or ``None`` if no backend works."""
+    """The compiled kernels by name, or ``None`` if the backend cannot run."""
     _resolve()
     return _IMPLEMENTATIONS
 
 
 def backend_name() -> Optional[str]:
-    """``"numba"`` or ``"cffi"`` once resolved and available, else ``None``."""
+    """``"cffi"`` once resolved and available, else ``None``."""
     _resolve()
     return _BACKEND
 
 
 def unavailable_reason() -> Optional[str]:
-    """Why no compiled backend is available (``None`` when one is)."""
+    """Why the compiled backend is unavailable (``None`` when it is)."""
     _resolve()
     return _UNAVAILABLE_REASON
-
-
-def _reset_for_tests() -> None:
-    """Forget the resolved backend so tests can re-resolve under a new env."""
-    global _RESOLVED, _BACKEND, _IMPLEMENTATIONS, _UNAVAILABLE_REASON
-    _RESOLVED = False
-    _BACKEND = None
-    _IMPLEMENTATIONS = None
-    _UNAVAILABLE_REASON = None

@@ -4,16 +4,16 @@ Every hot numeric loop in the engines routes through this module's
 module-level functions (:func:`outer_downdate` and friends).  Which
 implementation actually runs is a process-wide *tier*:
 
-``scalar``
-    Pure-Python reference loops (ground truth for equivalence tests).
 ``numpy``
     The vectorized expressions the engines used inline before this layer
     existed — the default, and bit-identical to the pre-dispatch code.
 ``compiled``
-    Numba-jitted loops when numba is importable, else a C translation unit
-    compiled with the system compiler via cffi.  If neither backend works
-    the tier silently *behaves* like numpy after emitting one warning —
-    selections never change, only speed.
+    A C translation unit compiled with the system compiler and loaded via
+    cffi, for the three kernels it speeds up (``outer_downdate``,
+    ``banded_downdate``, ``normal_surprise_scores``); the other three run
+    their numpy implementation on this tier too.  If the C library cannot
+    be built or loaded the tier *behaves* like numpy after emitting one
+    warning — selections never change, only speed.
 
 The tier comes from ``REPRO_KERNEL`` at import time and can be changed with
 :func:`set_kernel_tier` or scoped with the :func:`kernel_tier` context
@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import numpy_impl, scalar_impl
+from repro.kernels import numpy_impl
 from repro.resilience.degradation import record_degradation
 from repro.resilience.faults import KernelBackendFault, faults_active, maybe_inject
 
@@ -59,7 +59,7 @@ __all__ = [
     "marginal_gains",
 ]
 
-TIERS = ("scalar", "numpy", "compiled")
+TIERS = ("numpy", "compiled")
 
 _KERNEL_NAMES = (
     "outer_downdate",
@@ -70,9 +70,6 @@ _KERNEL_NAMES = (
     "marginal_gains",
 )
 
-_SCALAR_TABLE: Dict[str, Callable] = {
-    name: getattr(scalar_impl, name) for name in _KERNEL_NAMES
-}
 _NUMPY_TABLE: Dict[str, Callable] = {
     name: getattr(numpy_impl, name) for name in _KERNEL_NAMES
 }
@@ -106,15 +103,12 @@ def _activate(tier: str) -> None:
     """
     global _ACTIVE, _TIER, _EFFECTIVE_TIER, _WARNED_FALLBACK
     _TIER = tier
-    if tier == "scalar":
-        _ACTIVE, _EFFECTIVE_TIER = dict(_SCALAR_TABLE), "scalar"
-        return
     if tier == "numpy":
         _ACTIVE, _EFFECTIVE_TIER = dict(_NUMPY_TABLE), "numpy"
         return
     table = _compiled_table()
     if table is not None:
-        _ACTIVE, _EFFECTIVE_TIER = dict(table), "compiled"
+        _ACTIVE, _EFFECTIVE_TIER = {**_NUMPY_TABLE, **table}, "compiled"
         return
     record_degradation("kernels", "compiled_unavailable")
     if not _WARNED_FALLBACK:
@@ -129,7 +123,7 @@ def _activate(tier: str) -> None:
 
 
 def set_kernel_tier(tier: str) -> None:
-    """Select the process-wide kernel tier (``scalar``/``numpy``/``compiled``)."""
+    """Select the process-wide kernel tier (``numpy`` or ``compiled``)."""
     _activate(_validate_tier(tier))
 
 
@@ -182,12 +176,12 @@ def kernel_dtype(dtype) -> Iterator[None]:
 
 
 def compiled_available() -> bool:
-    """Whether a compiled backend (numba or cffi) can actually run."""
+    """Whether the compiled (cffi) backend can actually run."""
     return _compiled_table() is not None
 
 
 def compiled_backend() -> Optional[str]:
-    """``"numba"`` or ``"cffi"`` when available, else ``None``."""
+    """``"cffi"`` when the compiled backend is available, else ``None``."""
     from repro.kernels import compiled
 
     return compiled.backend_name()
@@ -209,12 +203,6 @@ def environment_metadata() -> dict:
     import scipy
 
     try:
-        import numba
-
-        numba_version: Optional[str] = numba.__version__
-    except ImportError:
-        numba_version = None
-    try:
         affinity = len(os.sched_getaffinity(0))
     except AttributeError:
         affinity = None
@@ -234,7 +222,6 @@ def environment_metadata() -> dict:
         "cpu_affinity": affinity,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "numba": numba_version,
         "blas": blas,
         "compiled_backend": compiled_backend(),
         "compiled_unavailable_reason": compiled_unavailable_reason(),

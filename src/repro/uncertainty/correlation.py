@@ -11,7 +11,8 @@ complement).  This module provides that machinery in two flavours:
 * the *scratch* kernels — :func:`conditional_covariance` and the scalar
   :meth:`GaussianWorldModel.post_cleaning_variance` /
   :meth:`GaussianWorldModel.surprise_probability` — which rebuild the Schur
-  complement with a pseudo-inverse on every call (the reference twins);
+  complement with a pseudo-inverse on every call (one-off evaluations, and
+  the references the engine is tested against);
 * the *incremental* engine — :class:`ConditionalGaussian` — which maintains
   the conditional covariance ``Sigma|S`` under rank-one downdates, so
   conditioning on one more cleaned object costs O(n^2) and the marginal

@@ -1,11 +1,9 @@
-"""Pure-Python reference implementations of the dispatched kernels.
+"""Pure-Python reference loops for the ``repro.kernels`` functions.
 
-The scalar tier is the ground truth the randomized equivalence tests pit the
-numpy and compiled tiers against: every loop mirrors the mathematical
-definition one element at a time, with no vectorization and no clever
-orderings.  It is deliberately slow — selecting it for a hot path is a
-measurement exercise (the tier-comparison harness does exactly that), not a
-production configuration.
+The ground truth the randomized equivalence tests pit the numpy and compiled
+tiers against: every loop mirrors the mathematical definition one element
+at a time, with no vectorization and no clever orderings.  Each function
+takes the same arguments as the kernel of the same name.
 
 Arithmetic note: accumulations run in Python floats (double precision) and
 results are stored back in the caller's dtype, except where the *merge*

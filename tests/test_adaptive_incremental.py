@@ -3,9 +3,11 @@
 Pins the incremental conditioning engine — reveal overlays
 (:meth:`UncertainDatabase.conditioned`), condition-chained
 :class:`DecomposedEVCalculator` updates, the batched
-:class:`SingletonSurpriseKernel`, and the incremental adaptive policies — to
-the from-scratch ``cleaned()`` rebuild paths, step for step, over randomized
-workloads at fixed seeds.
+:class:`SingletonSurpriseKernel`, and the adaptive policies — to
+from-scratch ``cleaned()`` rebuilds, step for step, over randomized
+workloads at fixed seeds.  AdaptiveMinVar's reference is its own
+exact-strategy teardown loop (which rebuilds the calculator every step);
+AdaptiveMaxPr's is the teardown loop in :mod:`oracles.policies`.
 """
 
 import gc
@@ -14,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles.policies import adaptive_maxpr
 from repro.claims.functions import LinearClaim, SumClaim, ThresholdClaim
 from repro.claims.perturbations import window_sum_perturbations
 from repro.claims.quality import Bias, Duplicity, Fragility
@@ -281,9 +284,7 @@ class TestAdaptiveRunEquivalence:
         truth = db.sample_world(rng)
         budget = float(db.total_cost * rng.uniform(0.2, 0.6))
         incremental = AdaptiveMinVar(measure).run(db, budget, ground_truth_oracle(truth))
-        scratch = AdaptiveMinVar(measure, incremental=False).run(
-            db, budget, ground_truth_oracle(truth)
-        )
+        scratch = AdaptiveMinVar(measure)._run_exact(db, budget, ground_truth_oracle(truth))
         assert_runs_match(incremental, scratch)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -295,9 +296,7 @@ class TestAdaptiveRunEquivalence:
         truth = db.sample_world(rng)
         budget = float(db.total_cost * 0.5)
         incremental = AdaptiveMinVar(claim).run(db, budget, ground_truth_oracle(truth))
-        scratch = AdaptiveMinVar(claim, incremental=False).run(
-            db, budget, ground_truth_oracle(truth)
-        )
+        scratch = AdaptiveMinVar(claim)._run_exact(db, budget, ground_truth_oracle(truth))
         assert_runs_match(incremental, scratch)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -309,9 +308,7 @@ class TestAdaptiveRunEquivalence:
         truth = db.sample_world(rng)
         budget = float(db.total_cost * 0.4)
         incremental = AdaptiveMinVar(claim).run(db, budget, ground_truth_oracle(truth))
-        scratch = AdaptiveMinVar(claim, incremental=False).run(
-            db, budget, ground_truth_oracle(truth)
-        )
+        scratch = AdaptiveMinVar(claim)._run_exact(db, budget, ground_truth_oracle(truth))
         assert_runs_match(incremental, scratch)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -329,9 +326,7 @@ class TestAdaptiveRunEquivalence:
         incremental = AdaptiveMaxPr(bias, **policy_kwargs).run(
             db, budget, ground_truth_oracle(truth)
         )
-        scratch = AdaptiveMaxPr(bias, incremental=False, **policy_kwargs).run(
-            db, budget, ground_truth_oracle(truth)
-        )
+        scratch = adaptive_maxpr(bias, db, budget, ground_truth_oracle(truth), **policy_kwargs)
         assert_runs_match(incremental, scratch)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -347,15 +342,13 @@ class TestAdaptiveRunEquivalence:
         incremental = AdaptiveMaxPr(indicator, tau=0.0).run(
             db, budget, ground_truth_oracle(truth)
         )
-        scratch = AdaptiveMaxPr(indicator, tau=0.0, incremental=False).run(
-            db, budget, ground_truth_oracle(truth)
-        )
+        scratch = adaptive_maxpr(indicator, db, budget, ground_truth_oracle(truth), tau=0.0)
         assert_runs_match(incremental, scratch)
 
     def test_maxpr_normal_keeps_closed_form(self):
         """On all-normal databases the incremental path stays on Lemma 3.3.
 
-        The teardown twin cannot be the reference here: after the first
+        The teardown oracle cannot be the reference here: after the first
         reveal its per-step calculator sees a mixed database and falls back
         to Monte-Carlo.  Instead, check the incremental policy's per-step
         scores against the closed form computed directly on the working

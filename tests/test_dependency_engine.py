@@ -2,25 +2,25 @@
 
 Three contracts are pinned here:
 
-* **GreedyDep incremental == scratch** — the engine-backed greedy
+* **GreedyDep == the scratch oracle** — the engine-backed greedy
   (one rank-one downdate + one vectorized gains pass per step) must produce
   the same selections *and the same per-step gains* (atol 1e-9) as the
-  retained per-candidate Schur-complement loop, across randomized workloads
-  and both ``conditional`` modes (the ISSUE-4 acceptance criterion).
+  per-candidate Schur-complement loop in :mod:`oracles.policies`, across
+  randomized workloads and both ``conditional`` modes.
 * **Lazy CELF == eager** in the submodular regime (nonnegative weights over
-  the decaying covariance for GreedyDep; centered errors with a small tau
-  for GreedyMaxPr), with strictly fewer benefit evaluations.
-* **AdaptiveDep incremental == scratch** — same cleaned sequence, same
+  the decaying covariance for the GreedyDep benefit; centered errors with a
+  small tau for GreedyMaxPr), with strictly fewer benefit evaluations.
+* **AdaptiveDep == the scratch oracle** — same cleaned sequence, same
   conditional-variance trajectory.
 """
 
 import numpy as np
 import pytest
 
+from oracles import policies as oracle
 from repro.claims.functions import LinearClaim
 from repro.core.adaptive import AdaptiveDep, ground_truth_oracle, run_adaptive_trials
-from repro.core.greedy import GreedyDep, GreedyMaxPr
-from repro.core.solver import SelectionStep
+from repro.core.greedy import GreedyDep, GreedyMaxPr, greedy_select
 from repro.uncertainty.correlation import GaussianWorldModel, decaying_covariance
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import NormalSpec
@@ -60,7 +60,7 @@ def _dep_setup(seed: int, weight_low: float = -1.5):
 
 
 class TestGreedyDepIncrementalEquivalence:
-    """ISSUE-4 acceptance: >= 20 seeded workloads, both conditional modes."""
+    """20 seeded workloads, both conditional modes."""
 
     @pytest.mark.parametrize("conditional", [True, False])
     @pytest.mark.parametrize("seed", range(20))
@@ -73,9 +73,9 @@ class TestGreedyDepIncrementalEquivalence:
             incremental = GreedyDep(claim, model, conditional=conditional)._run(
                 database, budget, record_steps=incremental_steps
             )
-            scratch = GreedyDep(
-                claim, model, conditional=conditional, incremental=False
-            )._run(database, budget, record_steps=scratch_steps)
+            scratch = oracle.greedy_dep(
+                claim, model, database, budget, conditional, record_steps=scratch_steps
+            )
             assert incremental == scratch
             assert len(incremental_steps) == len(scratch_steps)
             for fast, slow in zip(incremental_steps, scratch_steps):
@@ -91,29 +91,8 @@ class TestGreedyDepIncrementalEquivalence:
         trace = solver.trace(database, max_budget)
         for fraction in (0.1, 0.3, 0.55, 0.8):
             budget = database.total_cost * fraction
-            scratch = GreedyDep(
-                claim, model, conditional=conditional, incremental=False
-            ).select_indices(database, budget)
+            scratch = oracle.greedy_dep(claim, model, database, budget, conditional)
             assert trace.indices_at(budget) == scratch
-
-    def test_incremental_runs_leave_no_counter(self):
-        """The vectorized path has no scalar benefit counter to report."""
-        database, claim, model = _dep_setup(2)
-        solver = GreedyDep(claim, model)
-        solver.select_indices(database, database.total_cost * 0.3)
-        assert solver.last_benefit_evaluations is None
-
-    def test_scratch_cache_is_per_run(self):
-        """The unbounded per-frozenset cache is gone: repeated runs still agree
-        (determinism is what the trace read-back relies on), and the solver
-        object holds no cross-run cache state."""
-        database, claim, model = _dep_setup(3)
-        solver = GreedyDep(claim, model, incremental=False)
-        budget = database.total_cost * 0.4
-        first = solver.select_indices(database, budget)
-        second = solver.select_indices(database, budget)
-        assert first == second
-        assert not hasattr(solver, "_caches")
 
 
 class TestLazyCelf:
@@ -128,14 +107,12 @@ class TestLazyCelf:
         database, claim, model = _dep_setup(seed, weight_low=0.2)
         for fraction in (0.3, 0.6):
             budget = database.total_cost * fraction
-            eager = GreedyDep(claim, model, conditional=conditional, incremental=False)
-            lazy = GreedyDep(
-                claim, model, conditional=conditional, incremental=False, lazy=True
+            eager = oracle.DepBenefit(claim, model, conditional)
+            lazy = oracle.DepBenefit(claim, model, conditional)
+            assert greedy_select(database, budget, eager) == greedy_select(
+                database, budget, lazy, lazy=True
             )
-            assert eager.select_indices(database, budget) == lazy.select_indices(
-                database, budget
-            )
-            assert lazy.last_benefit_evaluations <= eager.last_benefit_evaluations
+            assert lazy.evaluations <= eager.evaluations
 
     @pytest.mark.parametrize("seed", range(10))
     def test_greedy_maxpr_lazy_matches_eager(self, seed):
@@ -164,22 +141,22 @@ class TestLazyCelf:
         )
         assert lazy.last_benefit_evaluations <= eager.last_benefit_evaluations
 
-    def test_lazy_requires_explicit_scratch_mode(self):
-        # lazy=True with the (default) incremental engine would silently fall
-        # back to the slow scratch loop — reject it at construction instead.
+    def test_greedy_dep_takes_no_lazy(self):
+        # The engine scores every candidate in one vectorized pass: there are
+        # no per-candidate evaluations for CELF to skip.
         database, claim, model = _dep_setup(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GreedyDep(claim, model, lazy=True)
 
     def test_lazy_reduces_evaluations_materially(self):
         """Not just <=: on a non-trivial run CELF skips a real fraction."""
         database, claim, model = _dep_setup(7, weight_low=0.2)
         budget = database.total_cost * 0.6
-        eager = GreedyDep(claim, model, incremental=False)
-        eager.select_indices(database, budget)
-        lazy = GreedyDep(claim, model, incremental=False, lazy=True)
-        lazy.select_indices(database, budget)
-        assert lazy.last_benefit_evaluations < eager.last_benefit_evaluations
+        eager = oracle.DepBenefit(claim, model)
+        greedy_select(database, budget, eager)
+        lazy = oracle.DepBenefit(claim, model)
+        greedy_select(database, budget, lazy, lazy=True)
+        assert lazy.evaluations < eager.evaluations
 
 
 class TestAdaptiveDep:
@@ -192,9 +169,9 @@ class TestAdaptiveDep:
         incremental = AdaptiveDep(claim, model, conditional=conditional).run(
             database, budget, ground_truth_oracle(truth)
         )
-        scratch = AdaptiveDep(
-            claim, model, conditional=conditional, incremental=False
-        ).run(database, budget, ground_truth_oracle(truth))
+        scratch = oracle.adaptive_dep(
+            claim, model, database, budget, ground_truth_oracle(truth), conditional
+        )
         assert incremental.cleaned_indices == scratch.cleaned_indices
         assert incremental.final_objective == pytest.approx(
             scratch.final_objective, abs=1e-9

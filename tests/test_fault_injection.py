@@ -227,12 +227,15 @@ def test_injected_kernel_fault_degrades_one_call_to_numpy():
     shifts = np.linspace(-2.0, 2.0, 7)
     sds = np.full(7, 0.8)
     expected = numpy_impl.normal_surprise_scores(shifts, sds, 0.5)
+    # The unfaulted call runs the active tier, which on the compiled tier
+    # agrees with numpy to float rounding, not bit for bit.
+    unfaulted = dispatch.normal_surprise_scores(shifts, sds, 0.5)
     plan = FaultPlan(rates={"kernel": 1.0}, max_consecutive=1)
     with fault_scope(plan), degradation_scope() as counters:
         faulted = dispatch.normal_surprise_scores(shifts, sds, 0.5)
         clean = dispatch.normal_surprise_scores(shifts, sds, 0.5)
     np.testing.assert_array_equal(faulted, expected)
-    np.testing.assert_array_equal(clean, expected)
+    np.testing.assert_array_equal(clean, unfaulted)
     tier = dispatch.effective_tier()
     assert counters.get("kernels", f"{tier}_to_numpy") == 1
     assert counters.get("faults", "injected_kernel") == 1

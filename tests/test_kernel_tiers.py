@@ -2,16 +2,16 @@
 
 Contracts pinned here:
 
-* **Every tier computes the same thing.**  For each of the six dispatched
-  kernels, randomized inputs produce matching results under the ``scalar``,
-  ``numpy`` and (when a backend exists) ``compiled`` tiers — float64 within
-  atol 1e-9, float32 within float32-scaled tolerances.
+* **Every tier computes what the oracle computes.**  For each of the six
+  dispatched kernels, randomized inputs produce the result of the scalar
+  reference loop (:mod:`oracles.kernels`) under the ``numpy`` and (when the
+  C library builds) ``compiled`` tiers — float64 within atol 1e-9, float32
+  within float32-scaled tolerances.
 * **Selections never depend on the tier.**  Greedy runs over dense and
   banded engines pick identical objects under every tier.
-* **The compiled tier degrades loudly, not silently.**  With no numba and
-  no working C compiler, requesting ``compiled`` emits exactly one
-  ``RuntimeWarning`` and then behaves as the numpy tier; an invalid
-  ``REPRO_KERNEL_BACKEND`` raises instead of guessing.
+* **The compiled tier degrades loudly, not silently.**  With no working C
+  compiler, requesting ``compiled`` emits exactly one ``RuntimeWarning`` and
+  then behaves as the numpy tier.
 * **float32 is an opt-in precision mode, not a different algorithm.**
   Engines built under ``kernel_dtype(np.float32)`` carry float32 state and
   track the float64 gains within float32 tolerance; on well-separated
@@ -25,10 +25,11 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import kernels as oracle_kernels
 from repro import kernels
 from repro.claims.functions import LinearClaim
 from repro.core.greedy import GreedyDep, GreedyMinVar
-from repro.kernels import compiled, dispatch
+from repro.kernels import compiled, dispatch, numpy_impl
 from repro.uncertainty.correlation import (
     ConditionalGaussian,
     GaussianWorldModel,
@@ -38,11 +39,9 @@ from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.structured import BandedCovariance
 
 #: Tiers that can actually execute on this machine.  The compiled tier is
-#: included only when a backend resolved; the loud-fallback test below covers
-#: the no-backend behavior either way.
-AVAILABLE_TIERS = ["scalar", "numpy"] + (
-    ["compiled"] if kernels.compiled_available() else []
-)
+#: included only when the C library built; the loud-fallback test below
+#: covers the no-backend behavior either way.
+AVAILABLE_TIERS = ["numpy"] + (["compiled"] if kernels.compiled_available() else [])
 
 #: (atol, rtol) per dtype.  float64 must agree to 1e-9 absolute (the
 #: acceptance bar); float32 tolerances scale with its ~1e-7 epsilon.
@@ -54,25 +53,31 @@ TOLERANCES = {
 DTYPES = [np.float64, np.float32]
 
 
-def _per_tier(function):
-    """Run a zero-argument closure once under every available tier."""
+def _call(implementation, args):
+    """Call a kernel on fresh copies of ``args``; in-place kernels yield ``args[0]``."""
+    args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    result = implementation(*args)
+    return args[0] if result is None else result
+
+
+def _per_tier(name, *args):
+    """``(oracle result, {tier: result})`` for one call of kernel ``name``."""
     results = {}
     for tier in AVAILABLE_TIERS:
         with kernels.kernel_tier(tier):
-            results[tier] = function()
-    return results
+            results[tier] = _call(getattr(kernels, name), args)
+    return _call(getattr(oracle_kernels, name), args), results
 
 
-def _assert_tiers_agree(results, tolerance):
-    reference = results["numpy"]
+def _assert_tiers_match(reference, results, tolerance):
     for tier, value in results.items():
         np.testing.assert_allclose(
-            value, reference, err_msg=f"tier {tier} disagrees with numpy", **tolerance
+            value, reference, err_msg=f"tier {tier} disagrees with the oracle", **tolerance
         )
 
 
 class TestKernelEquivalence:
-    """Randomized scalar == numpy == compiled for each dispatched kernel."""
+    """Randomized oracle == numpy == compiled for each dispatched kernel."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("seed", range(5))
@@ -84,13 +89,8 @@ class TestKernelEquivalence:
         pivot_index = int(rng.integers(n))
         column = matrix[:, pivot_index].copy()
         pivot = float(matrix[pivot_index, pivot_index])
-
-        def run():
-            work = matrix.copy()
-            kernels.outer_downdate(work, column, pivot)
-            return work
-
-        _assert_tiers_agree(_per_tier(run), TOLERANCES[np.dtype(dtype)])
+        reference, results = _per_tier("outer_downdate", matrix, column, pivot)
+        _assert_tiers_match(reference, results, TOLERANCES[np.dtype(dtype)])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("seed", range(5))
@@ -101,19 +101,14 @@ class TestKernelEquivalence:
         lo = int(rng.integers(n - bandwidth))
         column = np.asarray(rng.standard_normal(bandwidth + 1), dtype=dtype)
         pivot = float(1.0 + abs(rng.standard_normal()))
-
-        def run():
-            work = bands.copy()
-            kernels.banded_downdate(work, lo, column, pivot)
-            return work
-
-        _assert_tiers_agree(_per_tier(run), TOLERANCES[np.dtype(dtype)])
+        reference, results = _per_tier("banded_downdate", bands, lo, column, pivot)
+        _assert_tiers_match(reference, results, TOLERANCES[np.dtype(dtype)])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("seed", range(5))
     def test_convolve_support(self, seed, dtype):
         # Integer-valued supports: exact in both dtypes, so the exact-equality
-        # merge collapses the same duplicates under every tier.
+        # merge collapses the same duplicates in the oracle and every tier.
         rng = np.random.default_rng(200 + seed)
         n, m = 17, 4
         values = np.asarray(rng.integers(0, 10, n), dtype=dtype)
@@ -123,11 +118,10 @@ class TestKernelEquivalence:
         cprobs = rng.uniform(0.1, 1.0, m)
         cprobs = np.asarray(cprobs / cprobs.sum(), dtype=dtype)
 
-        results = _per_tier(
-            lambda: kernels.convolve_support(values, probs, contributions, cprobs)
+        (ref_values, ref_probs), results = _per_tier(
+            "convolve_support", values, probs, contributions, cprobs
         )
         tolerance = TOLERANCES[np.dtype(dtype)]
-        ref_values, ref_probs = results["numpy"]
         assert float(np.sum(ref_probs)) == pytest.approx(1.0, abs=1e-5)
         for tier, (out_values, out_probs) in results.items():
             np.testing.assert_array_equal(
@@ -145,10 +139,8 @@ class TestKernelEquivalence:
         shifts = np.asarray(rng.standard_normal(n), dtype=dtype)
         sds = np.asarray(np.abs(rng.standard_normal(n)) + 0.05, dtype=dtype)
         sds[::4] = 0.0  # degenerate branch: indicator, not a cdf
-        results = _per_tier(
-            lambda: kernels.normal_surprise_scores(shifts, sds, 0.25)
-        )
-        _assert_tiers_agree(results, TOLERANCES[np.dtype(dtype)])
+        reference, results = _per_tier("normal_surprise_scores", shifts, sds, 0.25)
+        _assert_tiers_match(reference, results, TOLERANCES[np.dtype(dtype)])
         # The degenerate entries are exact indicators under every tier.
         for tier, scores in results.items():
             degenerate = np.asarray(scores)[::4]
@@ -163,10 +155,8 @@ class TestKernelEquivalence:
         diagonal = np.asarray(np.abs(rng.standard_normal(n)) + 0.01, dtype=dtype)
         floor = np.full(n, 1e-6, dtype=dtype)
         diagonal[::5] = 0.0  # at/below the floor: gain must be exactly 0
-        results = _per_tier(
-            lambda: kernels.conditional_gains(matvec, diagonal, floor)
-        )
-        _assert_tiers_agree(results, TOLERANCES[np.dtype(dtype)])
+        reference, results = _per_tier("conditional_gains", matvec, diagonal, floor)
+        _assert_tiers_match(reference, results, TOLERANCES[np.dtype(dtype)])
         for tier, gains in results.items():
             assert not np.any(np.asarray(gains)[::5]), tier
 
@@ -180,10 +170,8 @@ class TestKernelEquivalence:
         diagonal = np.asarray(np.abs(rng.standard_normal(n)), dtype=dtype)
         cleaned = np.zeros(n, dtype=bool)
         cleaned[rng.integers(0, n, 7)] = True
-        results = _per_tier(
-            lambda: kernels.marginal_gains(weights, matvec, diagonal, cleaned)
-        )
-        _assert_tiers_agree(results, TOLERANCES[np.dtype(dtype)])
+        reference, results = _per_tier("marginal_gains", weights, matvec, diagonal, cleaned)
+        _assert_tiers_match(reference, results, TOLERANCES[np.dtype(dtype)])
         for tier, gains in results.items():
             assert not np.any(np.asarray(gains)[cleaned]), tier
 
@@ -255,12 +243,23 @@ class TestDispatchBehavior:
         with pytest.raises(ValueError, match="unsupported kernel dtype"):
             kernels.set_kernel_dtype(np.float16)
 
+    def test_scalar_tier_is_gone(self):
+        # The scalar loops are test oracles now, not a selectable tier.
+        assert kernels.TIERS == ("numpy", "compiled")
+        with pytest.raises(ValueError, match="unknown kernel tier"):
+            kernels.set_kernel_tier("scalar")
+
     def test_tier_context_restores(self):
         before = kernels.get_kernel_tier()
-        with kernels.kernel_tier("scalar"):
-            assert kernels.get_kernel_tier() == "scalar"
-            assert kernels.effective_tier() == "scalar"
+        other = "numpy" if before == "compiled" else "compiled"
+        with kernels.kernel_tier(other):
+            assert kernels.get_kernel_tier() == other
         assert kernels.get_kernel_tier() == before
+
+    def test_compiled_tier_runs_numpy_for_kernels_c_does_not_speed_up(self):
+        with kernels.kernel_tier("compiled"):
+            for name in ("conditional_gains", "marginal_gains", "convolve_support"):
+                assert dispatch._ACTIVE[name] is getattr(numpy_impl, name)
 
     def test_dtype_context_restores(self):
         before = kernels.get_kernel_dtype()
@@ -270,12 +269,12 @@ class TestDispatchBehavior:
 
     def test_environment_metadata_is_complete(self):
         metadata = kernels.environment_metadata()
-        for key in ("python", "cpu_count", "numpy", "scipy", "numba"):
+        for key in ("python", "cpu_count", "numpy", "scipy", "compiled_backend"):
             assert key in metadata
         assert metadata["numpy"] == np.__version__
 
     def test_compiled_tier_falls_back_loudly_without_backend(self, monkeypatch):
-        """No numba + no compiler: one RuntimeWarning, then numpy semantics.
+        """No working C compiler: one RuntimeWarning, then numpy semantics.
 
         This is the no-compiled-backend CI simulation: the resolved backend
         is swapped for 'nothing available' without touching the real cache.
@@ -301,7 +300,7 @@ class TestDispatchBehavior:
             monkeypatch.setattr(
                 compiled,
                 "_UNAVAILABLE_REASON",
-                "simulated: numba missing; cffi missing",
+                "simulated: cffi missing",
             )
             monkeypatch.setattr(dispatch, "_WARNED_FALLBACK", False)
 
@@ -324,17 +323,6 @@ class TestDispatchBehavior:
             # simulated outage cannot leak a numpy table into later tests.
             monkeypatch.undo()
             kernels.set_kernel_tier(kernels.get_kernel_tier())
-
-    def test_invalid_backend_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "fortran")
-        compiled._reset_for_tests()
-        try:
-            with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-                compiled.load_implementations()
-        finally:
-            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-            compiled._reset_for_tests()
-            compiled.load_implementations()
 
 
 class TestFloat32Mode:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import knapsack as oracle
 from repro.core.knapsack import (
     KnapsackSolution,
     solve_knapsack_dp,
@@ -79,6 +80,17 @@ class TestKnapsackDP:
             # With cost rounding the DP stays feasible and near-optimal.
             assert solution.total_cost <= budget + 1e-9
             assert solution.total_value >= 0.98 * brute_force_max(values, costs, budget) - 1e-9
+
+    def test_near_integer_costs_never_round_down_over_budget(self):
+        # 100.0004 is within a relative 1e-5 of an integer; rounding it down
+        # to 100 would admit both items at a total cost of 200.0008.
+        solution = solve_knapsack_dp([5.0, 5.0], [100.0004, 100.0004], 200.0)
+        assert solution.total_cost <= 200.0
+        assert len(solution.selected) == 1
+        # The covering variant solves the complement through the same DP: an
+        # over-budget complement would leave a set short of the cost bound.
+        covering = solve_min_knapsack_dp([5.0, 5.0], [100.0004, 100.0004], 0.0004)
+        assert covering.total_cost >= 0.0004
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -184,7 +196,7 @@ class TestMinKnapsack:
 
 
 class TestScalarVectorizedEquivalence:
-    """The numpy rolling-array DP rows and the retained scalar loops agree."""
+    """The numpy rolling-array DP rows and the Python-loop oracles agree."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dp_equivalence(self, seed):
@@ -196,8 +208,7 @@ class TestScalarVectorizedEquivalence:
             costs = np.ceil(costs)  # exercise the exact integer-cost grid too
         budget = float(r.uniform(0.5, costs.sum()))
         fast = solve_knapsack_dp(values, costs, budget)
-        slow = solve_knapsack_dp(values, costs, budget, vectorized=False)
-        assert fast == slow
+        assert fast == oracle.solve_knapsack_dp(values, costs, budget)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fptas_equivalence(self, seed):
@@ -208,12 +219,11 @@ class TestScalarVectorizedEquivalence:
         budget = float(r.uniform(0.5, costs.sum()))
         epsilon = float(r.uniform(0.05, 0.5))
         fast = solve_knapsack_fptas(values, costs, budget, epsilon=epsilon)
-        slow = solve_knapsack_fptas(values, costs, budget, epsilon=epsilon, vectorized=False)
-        assert fast == slow
+        assert fast == oracle.solve_knapsack_fptas(values, costs, budget, epsilon=epsilon)
 
     def test_dp_scalar_respects_budget_and_optimality(self):
         values = [6.0, 10.0, 12.0]
         costs = [1.0, 2.0, 3.0]
-        solution = solve_knapsack_dp(values, costs, 5.0, vectorized=False)
+        solution = oracle.solve_knapsack_dp(values, costs, 5.0)
         assert set(solution.selected) == {1, 2}
         assert solution.total_value == pytest.approx(22.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import objectives as oracle
 from repro.claims.functions import LinearClaim, SumClaim, ThresholdClaim
 from repro.core.entropy import (
     GreedyMinEntropy,
@@ -205,7 +206,7 @@ class TestEntropy:
 
 
 class TestVectorizedEntropyEquivalence:
-    """The array entropy/pmf kernels match the retained scalar loops."""
+    """The array entropy/pmf kernels match the per-world oracle loops."""
 
     def _random_db(self, rng, n):
         objects = []
@@ -224,13 +225,11 @@ class TestVectorizedEntropyEquivalence:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_entropy_of_pmf_matches_scalar(self, seed):
-        from repro.core.entropy import entropy_of_pmf_scalar
-
         rng = np.random.default_rng(seed)
         mass = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 40)))
         mass = mass / mass.sum()
         assert entropy_of_pmf(mass) == pytest.approx(
-            entropy_of_pmf_scalar(mass.tolist()), abs=1e-9
+            oracle.entropy_of_pmf(mass.tolist()), abs=1e-9
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -241,9 +240,9 @@ class TestVectorizedEntropyEquivalence:
         indicator = ThresholdClaim(SumClaim(range(7)), threshold=120.0, op=">=")
         for function in (linear, indicator):
             assert result_entropy(db, function) == pytest.approx(
-                result_entropy(db, function, vectorized=False), abs=1e-9
+                oracle.result_entropy(db, function), abs=1e-9
             )
             for cleaned in ([], [0], [1, 4], [0, 2, 5, 6]):
                 assert expected_entropy(db, function, cleaned) == pytest.approx(
-                    expected_entropy(db, function, cleaned, vectorized=False), abs=1e-9
+                    oracle.expected_entropy(db, function, cleaned), abs=1e-9
                 )

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.claims.functions import LinearClaim
-from repro.core.greedy import GreedyDep, GreedyMaxPr, GreedyMinVar
+from repro.core.greedy import GreedyMaxPr, GreedyMinVar
 from repro.datasets.synthetic import generate_urx
 from repro.experiments.workloads import uniqueness_workload
 from repro.streaming import (
@@ -199,14 +199,6 @@ class TestCrossOverlayCacheSafety:
         )
         assert overlay_plan == fresh_plan
         assert solver.select_indices(db, budget) == base_plan
-
-    def test_dep_warm_engine_rejected_without_incremental(self):
-        db = _normal_db(10, 9)
-        function = LinearClaim.from_vector(np.ones(10))
-        model = GaussianWorldModel.from_database(db, gamma=0.5)
-        engine = model.engine(function.weights(10))
-        with pytest.raises(ValueError):
-            GreedyDep(function, model, incremental=False, warm_engine=engine)
 
 
 # --------------------------------------------------------------------- #

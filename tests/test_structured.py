@@ -333,15 +333,6 @@ class TestStochasticGreedy:
         model = GaussianWorldModel(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match="stochastic_rng"):
             GreedyDep(claim, model, stochastic_epsilon=0.1)
-        with pytest.raises(ValueError, match="lazy"):
-            GreedyDep(
-                claim,
-                model,
-                incremental=False,
-                lazy=True,
-                stochastic_epsilon=0.1,
-                stochastic_rng=np.random.default_rng(0),
-            )
 
 
 class TestArrayBackedDatabase:

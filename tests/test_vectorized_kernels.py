@@ -1,17 +1,17 @@
-"""Randomized equivalence tests: vectorized kernels vs retained scalar paths.
+"""Randomized equivalence tests: batched kernels vs the per-world oracles.
 
-Every batched-array kernel added by the vectorized kernel layer is pitted
-against its retained scalar reference on randomized instances:
+Every batched-array kernel of the objective layer is pitted against its
+scalar reference loop in :mod:`oracles.objectives` on randomized instances:
 
-* array pmf convolution (:func:`weighted_sum_pmf`) vs the dict-based
-  :func:`weighted_sum_pmf_scalar`;
-* batched exact EV (:func:`expected_variance_exact`) vs ``vectorized=False``;
-* the decomposed Theorem 3.8 calculator (grids + batched supports) vs its
-  scalar twin, for all three quality measures *and* an opaque (non-whitelisted)
-  strength function that forces the loop fallbacks;
-* batched exact surprise probability vs ``vectorized=False``;
-* both Monte-Carlo estimators, which share one RNG stream across paths so a
-  fixed seed must give matching estimates;
+* array pmf convolution (:func:`weighted_sum_pmf`) vs dict convolution;
+* batched exact EV (:func:`expected_variance_exact`) vs world-by-world
+  enumeration;
+* the decomposed Theorem 3.8 calculator (grids + batched supports) vs the
+  piecewise enumeration, for all three quality measures *and* an opaque
+  (non-whitelisted) strength function that forces the loop fallbacks;
+* batched exact surprise probability vs world-by-world enumeration;
+* both Monte-Carlo estimators vs per-world sampling loops that draw the
+  same RNG stream, so a fixed seed must give matching estimates;
 * ``evaluate_batch`` vs per-row ``evaluate`` for every claim shape;
 * ``joint_support_arrays`` vs ``enumerate_joint_support``.
 
@@ -21,6 +21,7 @@ Tolerance is 1e-9 throughout (the acceptance bar for the kernel layer).
 import numpy as np
 import pytest
 
+from oracles import objectives as oracle
 from repro.claims.functions import LinearClaim, SumClaim, ThresholdClaim, WindowSumClaim
 from repro.claims.perturbations import PerturbationSet
 from repro.claims.quality import Bias, Duplicity, Fragility
@@ -30,7 +31,6 @@ from repro.core.expected_variance import (
     expected_variance_exact,
     expected_variance_monte_carlo,
     weighted_sum_pmf,
-    weighted_sum_pmf_scalar,
 )
 from repro.core.surprise import (
     surprise_probability_exact,
@@ -91,7 +91,7 @@ def test_weighted_sum_pmf_matches_scalar(seed):
     weights = {i: float(np.round(rng.uniform(-2.0, 2.0), 3)) for i in indices}
     offset = float(np.round(rng.uniform(-1.0, 1.0), 3))
     fast = weighted_sum_pmf(db, indices, weights, offset=offset)
-    reference = weighted_sum_pmf_scalar(db, indices, weights, offset=offset)
+    reference = oracle.weighted_sum_pmf(db, indices, weights, offset=offset)
     assert len(fast) == len(reference)
     for (fv, fp), (rv, rp) in zip(fast, reference):
         assert fv == pytest.approx(rv, abs=ATOL)
@@ -127,7 +127,7 @@ def test_exact_ev_matches_scalar(seed):
         )
     cleaned = random_cleaned(rng, len(db))
     fast = expected_variance_exact(db, claim, cleaned)
-    reference = expected_variance_exact(db, claim, cleaned, vectorized=False)
+    reference = oracle.expected_variance_exact(db, claim, cleaned)
     assert fast == pytest.approx(reference, abs=ATOL)
 
 
@@ -139,17 +139,17 @@ def test_decomposed_ev_matches_scalar(seed):
     strength = (subtraction_strength, lower_is_stronger)[seed % 2]
     measure = random_measure(rng, db, cls, strength)
     fast = DecomposedEVCalculator(db, measure)
-    reference = DecomposedEVCalculator(db, measure, vectorized=False)
     for _ in range(3):
         cleaned = random_cleaned(rng, len(db))
         assert fast.expected_variance(cleaned) == pytest.approx(
-            reference.expected_variance(cleaned), abs=ATOL
+            oracle.decomposed_expected_variance(db, measure, cleaned), abs=ATOL
         )
     candidate = int(rng.integers(0, len(db)))
     cleaned = random_cleaned(rng, len(db) - 1)
-    assert fast.marginal_gain(cleaned, candidate) == pytest.approx(
-        reference.marginal_gain(cleaned, candidate), abs=ATOL
-    )
+    expected_gain = oracle.decomposed_expected_variance(
+        db, measure, cleaned
+    ) - oracle.decomposed_expected_variance(db, measure, set(cleaned) | {candidate})
+    assert fast.marginal_gain(cleaned, candidate) == pytest.approx(expected_gain, abs=ATOL)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
@@ -164,13 +164,12 @@ def test_decomposed_ev_opaque_strength_loop_fallback(seed):
     measure = random_measure(rng, db, Fragility, odd_strength)
     assert all(term.transform_batch is None for term in measure.terms)
     fast = DecomposedEVCalculator(db, measure)
-    reference = DecomposedEVCalculator(db, measure, vectorized=False)
     cleaned = random_cleaned(rng, len(db))
     # The unnormalized cubic strength inflates magnitudes to ~1e9, where a
     # pure absolute tolerance sits below accumulation-order noise; allow a
     # tight relative tolerance on top.
     assert fast.expected_variance(cleaned) == pytest.approx(
-        reference.expected_variance(cleaned), rel=1e-12, abs=ATOL
+        oracle.decomposed_expected_variance(db, measure, cleaned), rel=1e-12, abs=ATOL
     )
 
 
@@ -184,7 +183,7 @@ def test_surprise_exact_matches_scalar(seed):
     cleaned = random_cleaned(rng, len(db))
     tau = float(rng.uniform(0.0, 1.0))
     fast = surprise_probability_exact(db, claim, cleaned, tau=tau)
-    reference = surprise_probability_exact(db, claim, cleaned, tau=tau, vectorized=False)
+    reference = oracle.surprise_probability_exact(db, claim, cleaned, tau=tau)
     assert fast == pytest.approx(reference, abs=ATOL)
 
 
@@ -199,14 +198,8 @@ def test_monte_carlo_ev_matches_scalar_with_fixed_seed(seed):
     fast = expected_variance_monte_carlo(
         db, claim, cleaned, np.random.default_rng(seed), outer_samples=5, inner_samples=20
     )
-    reference = expected_variance_monte_carlo(
-        db,
-        claim,
-        cleaned,
-        np.random.default_rng(seed),
-        outer_samples=5,
-        inner_samples=20,
-        vectorized=False,
+    reference = oracle.expected_variance_monte_carlo(
+        db, claim, cleaned, np.random.default_rng(seed), outer_samples=5, inner_samples=20
     )
     assert fast == pytest.approx(reference, abs=ATOL)
 
@@ -220,14 +213,8 @@ def test_monte_carlo_surprise_matches_scalar_with_fixed_seed(seed):
     fast = surprise_probability_monte_carlo(
         db, claim, cleaned, np.random.default_rng(seed), tau=0.5, samples=200
     )
-    reference = surprise_probability_monte_carlo(
-        db,
-        claim,
-        cleaned,
-        np.random.default_rng(seed),
-        tau=0.5,
-        samples=200,
-        vectorized=False,
+    reference = oracle.surprise_probability_monte_carlo(
+        db, claim, cleaned, np.random.default_rng(seed), tau=0.5, samples=200
     )
     assert fast == pytest.approx(reference, abs=ATOL)
 
@@ -239,6 +226,7 @@ def test_evaluate_batch_matches_rowwise_evaluate(seed):
     matrix = db.sample_worlds(np.random.default_rng(seed + 1), 17)
     claims = [
         LinearClaim({i: float(np.round(rng.uniform(-2.0, 2.0), 3)) for i in range(6)}, intercept=1.5),
+        SumClaim([1, 3, 5]),
         ThresholdClaim(SumClaim([0, 2, 4]), 10.0, op="<="),
         random_measure(rng, db, Duplicity, lower_is_stronger),
     ]
