@@ -11,12 +11,11 @@ which is the committed ceiling/floor it must respect.  Unknown ``BENCH_*``
 files are reported but not enforced (add a rule when a new artifact lands);
 a known artifact with missing keys fails loudly — a silently renamed key
 must not disable its gate.  Every artifact must also carry an
-``environment`` block (CPU counts, numpy/scipy versions, compiled
-backend) so a regression diff can tell a real slowdown from a machine or
-toolchain change.
+``environment`` block (CPU counts, numpy/scipy versions) so a regression
+diff can tell a real slowdown from a machine or toolchain change.
 
 ``--write-baseline`` regenerates every ``BENCH_*.json`` in one command: it
-runs the perf-regression, tier and scale benchmarks (including the
+runs the perf-regression and scale benchmarks (including the
 ``scale``-marked ones the default pytest addopts deselect) and then
 re-checks the fresh artifacts.
 """
@@ -56,9 +55,6 @@ RULES = {
         ),
         ("dependency_band_storage_bytes", "<=", "band_storage_ceiling_bytes"),
         ("peak_rss_mb", "<=", "peak_rss_ceiling_mb"),
-    ],
-    "BENCH_tiers.json": [
-        ("max_compiled_over_numpy_speedup", ">=", "compiled_speedup_floor"),
     ],
     "BENCH_stream.json": [
         ("speedup", ">=", "speedup_floor"),
@@ -129,11 +125,11 @@ def check(path: Path) -> list:
 def write_baseline(bench_dir: Path) -> int:
     """Regenerate every BENCH_*.json by running the benchmark suites once.
 
-    Three pytest invocations cover every artifact writer: the
-    perf-regression suite (BENCH_kernels/sweeps/adaptive/dep), the tier grid
-    (BENCH_tiers) and the ``scale``-marked benchmarks (BENCH_scale,
-    BENCH_stream, BENCH_resilience and BENCH_service — selected explicitly
-    against the default addopts).
+    Two pytest invocations cover every artifact writer: the
+    perf-regression suite (BENCH_kernels/sweeps/adaptive/dep) and the
+    ``scale``-marked benchmarks (BENCH_scale, BENCH_stream,
+    BENCH_resilience and BENCH_service — selected explicitly against the
+    default addopts).
     """
     repo_root = bench_dir.parent
     environment = dict(os.environ)
@@ -143,7 +139,7 @@ def write_baseline(bench_dir: Path) -> int:
         source_dir if not existing else source_dir + os.pathsep + existing
     )
     runs = [
-        ["benchmarks/test_perf_regression.py", "benchmarks/test_tiers.py"],
+        ["benchmarks/test_perf_regression.py"],
         [
             "benchmarks/test_scale.py",
             "benchmarks/test_stream.py",

@@ -171,7 +171,6 @@ def test_sweep_engine_single_trace_n2000(benchmark, report):
             {"GreedyMinVar": GreedyMinVar(function, calculator=calculator)},
             calculator.expected_variance,
             budget_fractions=SWEEP_FRACTIONS,
-            use_traces=True,
         )
 
     start = time.perf_counter()

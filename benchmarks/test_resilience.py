@@ -10,8 +10,8 @@ The same 200-event journal over the n = 2,000 uniqueness workload as
    periodic checkpoint committed after.  The wall-clock ratio of (2) over
    (1) is the *checkpoint overhead* and must stay ≤ 10%;
 3. **durable under chaos** — the same replay with deterministic injected
-   faults (kernel backend failures, transient store locks, NaN event
-   corruption); its plans must be byte-identical to the clean run's.
+   faults (transient store locks, NaN event corruption); its plans must be
+   byte-identical to the clean run's.
 
 Crash recovery is verified *exhaustively*: for every one of the 201 event
 boundaries the planner is restored from the last durable checkpoint, the
@@ -78,9 +78,7 @@ CONTINUATION_BOUNDARIES = (0, 67, 133, 199)
 #: The boundary the genuine SIGKILL subprocess dies at.
 SIGKILL_BOUNDARY = 100
 
-CHAOS_PLAN = FaultPlan(
-    seed=11, rates={"kernel": 0.05, "store": 0.1, "event": 0.05}
-)
+CHAOS_PLAN = FaultPlan(seed=11, rates={"store": 0.1, "event": 0.05})
 
 
 def _planner_factory() -> StreamingPlanner:

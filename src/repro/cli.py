@@ -14,7 +14,7 @@ Examples
     python -m repro.cli store run --store plans.db --events 50
     python -m repro.cli store resume --store plans.db
     python -m repro.cli store verify --store plans.db
-    python -m repro.cli chaos --faults '{"kernel": 0.1, "store": 0.2}'
+    python -m repro.cli chaos --faults '{"store": 0.2, "event": 0.05}'
 
 Every subcommand prints the same rows the corresponding paper figure plots.
 The ``store`` subcommand runs a journal with crash-safe persistence (and can

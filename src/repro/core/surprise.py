@@ -297,8 +297,8 @@ class SingletonSurpriseKernel:
         meaningless by construction (they are never candidates again).
         """
         if self.mode == "normal":
-            # Tier-dispatched: Phi((-tau - shift) / sd) with the sd <= 0
-            # indicator convention of the scalar calculators.
+            # Phi((-tau - shift) / sd) with the sd <= 0 indicator
+            # convention of the scalar calculators.
             return np.asarray(
                 kernels.normal_surprise_scores(self._shift, self._sd, tau),
                 dtype=float,

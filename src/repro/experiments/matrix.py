@@ -457,7 +457,6 @@ def _execute_workload(
     solvers: Sequence[str],
     budget_fractions: Sequence[float],
     tau: float,
-    use_traces: bool,
 ) -> dict:
     """Build and sweep one workload; everything returned is plain data.
 
@@ -489,7 +488,6 @@ def _execute_workload(
         objective,
         budget_fractions=budget_fractions,
         description=spec.description,
-        use_traces=use_traces,
         parallel="off",
     )
     seconds = time.perf_counter() - started
@@ -558,7 +556,6 @@ class ScenarioMatrix:
         seed: int = 0,
         tau: float = 0.0,
         max_workers: Union[int, str, None] = None,
-        use_traces: bool = True,
         parallel: str = "auto",
     ):
         if parallel not in ("auto", "forced", "off"):
@@ -594,7 +591,6 @@ class ScenarioMatrix:
         self.seed = int(seed)
         self.tau = float(tau)
         self.max_workers = max_workers
-        self.use_traces = use_traces
         self.parallel = parallel
 
     def _build_solvers(self, workload: Workload) -> Tuple[Dict[str, object], List[dict]]:
@@ -608,7 +604,6 @@ class ScenarioMatrix:
             list(self.solvers),
             list(self.budget_fractions),
             self.tau,
-            self.use_traces,
         )
 
     def _execute_all(self) -> Dict[str, dict]:

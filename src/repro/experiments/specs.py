@@ -464,7 +464,7 @@ def _chaos(args: argparse.Namespace) -> str:
     else:
         plan = FaultPlan(
             seed=args.fault_seed,
-            rates={"kernel": 0.05, "store": 0.15, "event": 0.05, "journal": 0.2},
+            rates={"store": 0.15, "event": 0.05, "journal": 0.2},
         )
 
     _, journal, factory = _stream_setup(args)

@@ -20,9 +20,6 @@ process pool safe):
 * **Non-incremental solvers** (knapsack optimum, iterated submodular bounds,
   exhaustive OPT) keep the per-budget solve, exactly as before.
 
-``use_traces=False`` forces the legacy per-budget path for every algorithm
-(useful for benchmarking the engine against itself).
-
 ``max_workers`` opts into a process pool that sweeps algorithms concurrently
 (``"auto"`` sizes it to the machine's usable CPUs).  Everything submitted
 must be picklable (database, algorithms, and the ``evaluate`` callable);
@@ -137,7 +134,6 @@ def sweep_algorithm(
     algorithm,
     fractions: Sequence[float],
     evaluate: Callable[[Sequence[int]], float],
-    use_traces: bool = True,
 ) -> Tuple[List[float], List[tuple]]:
     """Sweep one algorithm over the budget fractions.
 
@@ -154,8 +150,7 @@ def sweep_algorithm(
     # legacy per-budget semantics (an independent permutation per budget)
     # rather than freezing one permutation across the sweep.
     if (
-        use_traces
-        and budgets
+        budgets
         and getattr(algorithm, "supports_trace", False)
         and getattr(algorithm, "sweep_with_trace", True)
     ):
@@ -182,7 +177,6 @@ def run_budget_sweep(
     evaluate: Callable[[Sequence[int]], float],
     budget_fractions: Sequence[float] = DEFAULT_BUDGET_FRACTIONS,
     description: str = "",
-    use_traces: bool = True,
     max_workers: Union[int, str, None] = None,
     parallel: str = "auto",
 ) -> SweepResult:
@@ -220,13 +214,12 @@ def run_budget_sweep(
                 algorithms,
                 fractions,
                 evaluate,
-                use_traces,
                 max(1, workers),
                 forced=parallel == "forced",
             )
     if results is None:
         results = {
-            name: sweep_algorithm(database, algorithms[name], fractions, evaluate, use_traces)
+            name: sweep_algorithm(database, algorithms[name], fractions, evaluate)
             for name in names
         }
 
@@ -245,7 +238,6 @@ def _sweep_in_pool(
     algorithms: Mapping[str, object],
     fractions: List[float],
     evaluate: Callable[[Sequence[int]], float],
-    use_traces: bool,
     max_workers: int,
     forced: bool = False,
 ) -> Optional[Dict[str, Tuple[List[float], List[tuple]]]]:
@@ -279,9 +271,7 @@ def _sweep_in_pool(
     names = list(algorithms)
     with ProcessPoolExecutor(max_workers=min(max_workers, len(names))) as pool:
         futures = {
-            name: pool.submit(
-                sweep_algorithm, database, algorithms[name], fractions, evaluate, use_traces
-            )
+            name: pool.submit(sweep_algorithm, database, algorithms[name], fractions, evaluate)
             for name in names
         }
         # A worker crash degrades that one algorithm to a serial re-run
@@ -290,7 +280,7 @@ def _sweep_in_pool(
             name: collect_or_rerun(
                 future,
                 lambda name=name: sweep_algorithm(
-                    database, algorithms[name], fractions, evaluate, use_traces
+                    database, algorithms[name], fractions, evaluate
                 ),
             )
             for name, future in futures.items()

@@ -1,19 +1,30 @@
-"""Vectorized numpy implementations of the dispatched kernels.
+"""The hot-path numeric kernels, one numpy implementation each.
 
-These are the default tier and are *moved*, not rewritten: each function is
-the exact numpy expression the PR 1–6 hot paths used inline, so selecting
-the numpy tier reproduces the pre-dispatch behaviour bit for bit.  The
-scipy import for the normal CDF happens inside the function (matching the
-original call sites) so importing the kernels package stays cheap.
+Every hot numeric loop in the engines lives here instead of inline: the
+dense and banded rank-one downdates of the Gaussian conditioning engines,
+the discrete-sum convolution step, the batched normal-tail surprise scores
+and the two vectorized gains passes.  Engines call them through the module
+(``kernels.outer_downdate(...)``, never ``from repro.kernels import ...``),
+so a profiler that wraps the module attributes reaches every call.
+
+The scalar reference loops the kernels are tested against live in
+``tests/oracles/kernels.py``.  The scipy import for the normal CDF happens
+inside :func:`normal_surprise_scores` so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
+import os
+import platform
+import sys
 from typing import Tuple
 
 import numpy as np
 
 __all__ = [
+    "environment_metadata",
+    "get_kernel_tier",
+    "get_kernel_dtype",
     "outer_downdate",
     "banded_downdate",
     "convolve_support",
@@ -21,6 +32,51 @@ __all__ = [
     "conditional_gains",
     "marginal_gains",
 ]
+
+
+def get_kernel_tier() -> str:
+    """The kernel implementation in use: always ``"numpy"``.
+
+    ``perfbench/run.py`` checks it before every benchmark run.
+    """
+    return "numpy"
+
+
+def get_kernel_dtype() -> np.dtype:
+    """The engines' working precision: always float64 (checked like the tier)."""
+    return np.dtype(np.float64)
+
+
+def environment_metadata() -> dict:
+    """Machine/toolchain facts for benchmark artifacts.
+
+    Recorded in every BENCH_*.json so a regression diff can distinguish a
+    real slowdown from a hardware or library change.
+    """
+    import scipy
+
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:
+        affinity = None
+    blas = None
+    try:
+        config = np.show_config(mode="dicts")
+        blas = (
+            config.get("Build Dependencies", {}).get("blas", {}).get("name")
+        )
+    except Exception:
+        pass
+    return {
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": affinity,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+    }
 
 
 def outer_downdate(matrix: np.ndarray, column: np.ndarray, pivot: float) -> None:

@@ -4,16 +4,16 @@ The resilience layer has three pieces, each usable on its own:
 
 * :mod:`repro.resilience.faults` — a deterministic, seeded
   :class:`~repro.resilience.faults.FaultPlan` injected at named sites
-  (kernel backends, pool workers, store I/O, journal writes, stream
-  events), installable per scope or through the ``REPRO_FAULTS``
+  (pool workers, store I/O, journal writes, stream events, column-page
+  reads, HTTP requests), installable per scope or through the ``REPRO_FAULTS``
   environment variable;
 * :mod:`repro.resilience.retry` — the bounded, jittered, counted
   :func:`~repro.resilience.retry.retry_call` loop the store and the pool
   engines share;
 * :mod:`repro.resilience.degradation` — structured
   :class:`~repro.resilience.degradation.DegradationCounters` recording
-  every graceful fallback (compiled→numpy kernel, warm→cold re-solve,
-  pool→serial execution) as counters instead of warnings lost to stderr.
+  every graceful fallback (warm→cold re-solve, pool→serial execution,
+  store retries) as counters instead of warnings lost to stderr.
 
 The point of the combination: a chaos run (faults injected everywhere)
 must finish with the *same plans* as a clean run, differing only in its
@@ -33,14 +33,12 @@ from repro.resilience.faults import (
     FaultPlan,
     HttpRequestFault,
     InjectedFault,
-    KernelBackendFault,
     StoreReadFault,
     TransientStoreFault,
     WorkerCrashFault,
     active_fault_plan,
     clear_fault_plan,
     fault_scope,
-    faults_active,
     injected_counts,
     install_fault_plan,
     maybe_corrupt_event,
@@ -56,7 +54,6 @@ __all__ = [
     "FaultPlan",
     "HttpRequestFault",
     "InjectedFault",
-    "KernelBackendFault",
     "StoreReadFault",
     "TransientStoreFault",
     "WorkerCrashFault",
@@ -64,7 +61,6 @@ __all__ = [
     "clear_fault_plan",
     "degradation_scope",
     "fault_scope",
-    "faults_active",
     "global_degradations",
     "injected_counts",
     "install_fault_plan",

@@ -6,7 +6,6 @@ less-parallel mode it can fall back to without changing answers:
 ========================  ==========================================
 chain                     where it lives
 ========================  ==========================================
-compiled → numpy kernel   :mod:`repro.kernels.dispatch`
 warm → cold re-solve      :class:`repro.streaming.planner.StreamingPlanner`
 pool → serial execution   :mod:`repro.experiments.sweeps` / ``matrix``
 store retry → give up     :mod:`repro.store.sqlite_store`
@@ -100,8 +99,8 @@ def record_degradation(site: str, action: str, count: int = 1) -> None:
     """Record a degradation into the global collector and every open scope.
 
     This is the one entry point the chains call; it must stay cheap enough
-    for per-kernel-call fallbacks (one lock per open collector, no
-    allocation when nothing is scoped).
+    for per-call fallbacks such as store retries (one lock per open
+    collector, no allocation when nothing is scoped).
     """
     _GLOBAL.record(site, action, count)
     if _SCOPES:

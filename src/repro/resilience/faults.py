@@ -11,9 +11,6 @@ plan because the faults (and the degradations absorbing them) are replayable.
 
 Injection sites and the fault each raises / applies:
 
-``kernel``
-    :exc:`KernelBackendFault` before a compiled-kernel call — the dispatch
-    layer degrades that one call to the numpy tier.
 ``pool``
     :exc:`WorkerCrashFault` when a pool future is collected — the sweep /
     matrix engines re-run that shard serially.
@@ -67,14 +64,12 @@ __all__ = [
     "FaultPlan",
     "HttpRequestFault",
     "InjectedFault",
-    "KernelBackendFault",
     "StoreReadFault",
     "WorkerCrashFault",
     "TransientStoreFault",
     "active_fault_plan",
     "clear_fault_plan",
     "fault_scope",
-    "faults_active",
     "injected_counts",
     "install_fault_plan",
     "maybe_corrupt_event",
@@ -83,19 +78,16 @@ __all__ = [
 ]
 
 #: The injection sites the codebase is instrumented with.
-FAULT_SITES = ("kernel", "pool", "store", "journal", "event", "store-read", "http")
+FAULT_SITES = ("pool", "store", "journal", "event", "store-read", "http")
+
+#: Top-level keys of a full JSON fault plan (see :meth:`FaultPlan.from_json`).
+_PLAN_FIELDS = ("seed", "rates", "max_consecutive", "max_per_site")
 
 
 class InjectedFault(RuntimeError):
     """Base class of every injected failure (never raised by real faults)."""
 
     site = "unknown"
-
-
-class KernelBackendFault(InjectedFault):
-    """An injected compiled-kernel backend failure (site ``kernel``)."""
-
-    site = "kernel"
 
 
 class WorkerCrashFault(InjectedFault):
@@ -203,13 +195,19 @@ class FaultPlan:
         """Parse a plan from its JSON wire form.
 
         Two shapes are accepted: the full ``{"seed": ..., "rates": {...}}``
-        object, or a bare rates mapping ``{"kernel": 0.1}`` (seed 0).
+        object, or a bare rates mapping ``{"store": 0.1}`` (seed 0).  A spec
+        naming no plan field is read as bare rates, so an unknown site there
+        is refused like any other; a full object with a key it does not know
+        is refused too, instead of running with its rates silently dropped.
         """
         payload = json.loads(spec)
         if not isinstance(payload, dict):
             raise ValueError(f"fault plan spec must be a JSON object, got {spec!r}")
-        if "rates" not in payload and all(k in FAULT_SITES for k in payload):
+        if not set(payload) & set(_PLAN_FIELDS):
             payload = {"rates": payload}
+        unknown = sorted(set(payload) - set(_PLAN_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown fault plan fields {unknown}; expected {_PLAN_FIELDS}")
         return cls(
             seed=int(payload.get("seed", 0)),
             rates={str(k): float(v) for k, v in payload.get("rates", {}).items()},
@@ -255,7 +253,6 @@ class _FaultState:
 _STATE: Optional[_FaultState] = None
 
 _SITE_ERRORS = {
-    "kernel": KernelBackendFault,
     "pool": WorkerCrashFault,
     "store": TransientStoreFault,
     "store-read": StoreReadFault,
@@ -281,11 +278,6 @@ def active_fault_plan() -> Optional[FaultPlan]:
     """The currently installed plan, or ``None``."""
     state = _STATE
     return None if state is None else state.plan
-
-
-def faults_active() -> bool:
-    """Cheap hot-path guard: is any fault plan installed?"""
-    return _STATE is not None
 
 
 def injected_counts() -> Dict[str, int]:

@@ -32,7 +32,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.resilience.faults import HttpRequestFault, maybe_inject
 from repro.service.sessions import SessionManager
-from repro.service.wire import ServiceError, canonical_json, parse_json_body
+from repro.service.wire import MAX_BODY_BYTES, ServiceError, canonical_json, parse_json_body
 from repro.store.sqlite_store import StoreCorruptionError
 
 __all__ = ["CleaningService", "ServiceHandler"]
@@ -84,8 +84,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # raised mid-route must not leave unread body bytes on the
             # keep-alive socket, where they would be parsed as the next
             # request line and corrupt the connection framing.
-            length = int(self.headers.get("Content-Length") or 0)
-            self._raw_body = self.rfile.read(length) if length else b""
+            self._raw_body = self._read_body()
             # The injected in-flight failure: strikes before any route
             # logic, so nothing durable can precede the 503.
             maybe_inject("http")
@@ -128,7 +127,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             elif len(parts) == 3 and method == "GET" and parts[2] == "plan":
                 session = self.manager.get(parts[1])
                 return 200, session.snapshot_plan(
-                    budget=self._float_query(query, "budget"),
+                    budget=self._number_query(query, "budget", float),
                     want_objective=query.get("objective") in ("1", "true"),
                 )
             elif len(parts) == 3 and method == "POST" and parts[2] == "events":
@@ -141,26 +140,49 @@ class ServiceHandler(BaseHTTPRequestHandler):
             elif len(parts) == 3 and method == "GET" and parts[2] == "objects":
                 session = self.manager.get(parts[1])
                 return 200, session.objects(
-                    start=int(query.get("start", 0)), count=int(query.get("count", 50))
+                    start=self._number_query(query, "start", int, 0),
+                    count=self._number_query(query, "count", int, 50),
                 )
         raise ServiceError(404, f"no route {method} {parsed.path}", "not_found")
 
     # ------------------------------------------------------------------ #
     # Body / reply plumbing
     # ------------------------------------------------------------------ #
+    def _read_body(self) -> bytes:
+        """The request body; a 400/413 for a length it refuses to read.
+
+        A malformed or over-limit ``Content-Length`` leaves the body unread
+        on the socket, where it would be parsed as the next request, so
+        those replies close the connection.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise ServiceError(
+                400, f"Content-Length must be a non-negative integer, got {raw!r}", "bad_length"
+            )
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServiceError(413, f"request body exceeds {MAX_BODY_BYTES} bytes", "too_large")
+        return self.rfile.read(length) if length else b""
+
     def _body(self) -> Dict[str, object]:
         return parse_json_body(self._raw_body)
 
     @staticmethod
-    def _float_query(query: Dict[str, str], field: str) -> Optional[float]:
+    def _number_query(query: Dict[str, str], field: str, parse, default=None):
+        """Query parameter ``field`` parsed by ``parse`` (``int`` or ``float``), else a 400."""
         raw = query.get(field)
         if raw is None:
-            return None
+            return default
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
             raise ServiceError(
-                400, f"query parameter {field!r} must be a number, got {raw!r}", "bad_field"
+                400,
+                f"query parameter {field!r} must parse as {parse.__name__}, got {raw!r}",
+                "bad_field",
             ) from None
 
     def _reply(self, status: int, body: Dict[str, object]) -> None:
@@ -168,6 +190,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(int(status))
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

@@ -17,11 +17,16 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "ServiceError",
     "canonical_json",
     "parse_json_body",
     "plan_signature_hex",
 ]
+
+
+#: Largest request body the service reads; longer bodies get a 413.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServiceError(Exception):
@@ -69,7 +74,7 @@ def plan_signature_hex(version: int, plan: Sequence[int]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def parse_json_body(raw: bytes, max_bytes: int = 1 << 20) -> Dict[str, object]:
+def parse_json_body(raw: bytes, max_bytes: int = MAX_BODY_BYTES) -> Dict[str, object]:
     """Parse a request body as a JSON object, mapping failures to 400s."""
     if len(raw) > max_bytes:
         raise ServiceError(413, f"request body exceeds {max_bytes} bytes", "too_large")

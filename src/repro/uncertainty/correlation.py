@@ -226,11 +226,8 @@ class ConditionalGaussian:
         weights: Optional[Sequence[float]] = None,
         conditional: bool = True,
         validate: bool = True,
-        dtype=None,
     ):
-        if dtype is None:
-            dtype = kernels.get_kernel_dtype()
-        sigma = np.array(covariance, dtype=dtype)
+        sigma = np.array(covariance, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError(f"covariance must be square, got shape {sigma.shape}")
         if validate and not np.allclose(sigma, sigma.T, atol=1e-9):
@@ -242,14 +239,8 @@ class ConditionalGaussian:
         self._cleaned_mask = np.zeros(self._n, dtype=bool)
         # Per-component noise floor: relative to each component's own
         # original variance, NOT the peak diagonal — a globally tiny but
-        # informative component must still condition.  The floor scales with
-        # the working precision's ulp, so float32 engines treat float32
-        # cancellation residue as degenerate.
-        eps_scale = np.finfo(sigma.dtype).eps / np.finfo(np.float64).eps
-        self._pivot_floor = np.asarray(
-            np.abs(np.diagonal(sigma)) * (self._PIVOT_RTOL * float(eps_scale)),
-            dtype=sigma.dtype,
-        )
+        # informative component must still condition.
+        self._pivot_floor = np.abs(np.diagonal(sigma)) * self._PIVOT_RTOL
         self._weights: Optional[np.ndarray] = None
         self._matvec: Optional[np.ndarray] = None
         if weights is not None:
@@ -304,7 +295,7 @@ class ConditionalGaussian:
 
     def set_weights(self, weights: Sequence[float]) -> None:
         """Attach (or replace) the linear functional the engine scores against."""
-        w = np.array(weights, dtype=self._sigma.dtype)
+        w = np.array(weights, dtype=float)
         if w.shape != (self._n,):
             raise ValueError(f"weights must have shape ({self._n},), got {w.shape}")
         self._weights = w
@@ -357,10 +348,7 @@ class ConditionalGaussian:
         """
         if self._matvec is None:
             raise ValueError("gains() requires weights; call set_weights first")
-        # np.diagonal returns a strided view; the compiled tier needs a
-        # contiguous buffer, and the O(n) copy is noise next to the O(n^2)
-        # downdate that precedes every gains pass.
-        diagonal = np.ascontiguousarray(np.diagonal(self._sigma))
+        diagonal = np.diagonal(self._sigma)
         v = self._matvec
         if self._conditional:
             return kernels.conditional_gains(v, diagonal, self._pivot_floor)
@@ -653,11 +641,9 @@ class GaussianWorldModel:
             shifts[cleaned] = base_shift
         # The surprise kernel's degenerate convention (sd <= 0 -> indicator)
         # matches the scalar path, so clamping dead variances to sd = 0 and
-        # dispatching one batched call covers both branches.
+        # making one batched call covers both branches.
         sds = np.sqrt(np.where(variances > 0.0, variances, 0.0))
-        return kernels.normal_surprise_scores(
-            np.ascontiguousarray(shifts), sds, threshold_drop
-        )
+        return kernels.normal_surprise_scores(shifts, sds, threshold_drop)
 
     # ------------------------------------------------------------------ #
     # Sampling

@@ -44,16 +44,13 @@ def convolve_support(
     sums.  Returns the merged ``(values, probabilities)`` with values sorted
     ascending.  This is the shared kernel behind the weighted-sum pmf of the
     expected-variance path and the drop-distribution convolution of the
-    MaxPr path; the implementation is tier-dispatched (``np.unique`` +
-    ``np.bincount`` on the numpy tier, a sort-and-merge loop on the compiled
-    tier — identical merge semantics, values equal under ``==`` collapse).
+    MaxPr path: :func:`repro.kernels.convolve_support` merges with
+    ``np.unique`` + ``np.bincount``, so values equal under ``==`` collapse.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    probabilities = np.ascontiguousarray(probabilities, dtype=float)
-    contributions = np.ascontiguousarray(contributions, dtype=float)
-    contribution_probabilities = np.ascontiguousarray(
-        contribution_probabilities, dtype=float
-    )
+    values = np.asarray(values, dtype=float)
+    probabilities = np.asarray(probabilities, dtype=float)
+    contributions = np.asarray(contributions, dtype=float)
+    contribution_probabilities = np.asarray(contribution_probabilities, dtype=float)
     return kernels.convolve_support(
         values, probabilities, contributions, contribution_probabilities
     )

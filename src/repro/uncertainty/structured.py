@@ -495,20 +495,14 @@ class _StructuredConditionalBase:
         diagonal: np.ndarray,
         weights: Optional[Sequence[float]],
         conditional: bool,
-        dtype=None,
     ):
         self._n = int(size)
         self._conditional = bool(conditional)
         self._cleaned: List[int] = []
         self._cleaned_mask = np.zeros(self._n, dtype=bool)
-        self._dtype = np.dtype(dtype) if dtype is not None else kernels.get_kernel_dtype()
-        self._diag = np.asarray(diagonal, dtype=self._dtype).copy()
-        # Same relative floor as the dense engine, scaled to the working
-        # precision's ulp (float32 cancellation residue is ~2^29 coarser).
-        eps_scale = np.finfo(self._dtype).eps / np.finfo(np.float64).eps
-        self._pivot_floor = np.asarray(
-            np.abs(self._diag) * (_PIVOT_RTOL * float(eps_scale)), dtype=self._dtype
-        )
+        self._diag = np.array(diagonal, dtype=float)
+        # Same relative floor as the dense engine.
+        self._pivot_floor = np.abs(self._diag) * _PIVOT_RTOL
         self._weights: Optional[np.ndarray] = None
         self._matvec: Optional[np.ndarray] = None
         if weights is not None:
@@ -555,11 +549,11 @@ class _StructuredConditionalBase:
 
     def set_weights(self, weights: Sequence[float]) -> None:
         """Attach (or replace) the linear functional the engine scores against."""
-        w = np.array(weights, dtype=self._dtype)
+        w = np.array(weights, dtype=float)
         if w.shape != (self._n,):
             raise ValueError(f"weights must have shape ({self._n},), got {w.shape}")
         self._weights = w
-        self._matvec = np.ascontiguousarray(self._current_matvec(w), dtype=self._dtype)
+        self._matvec = self._current_matvec(w)
 
     # -- updates and scoring -------------------------------------------- #
     def condition_on(self, index: int) -> None:
@@ -617,7 +611,6 @@ class _StructuredConditionalBase:
         """Independent copy of the engine state (cheap: copies the structure, not n x n)."""
         clone = object.__new__(type(self))
         clone._n = self._n
-        clone._dtype = self._dtype
         clone._conditional = self._conditional
         clone._cleaned = list(self._cleaned)
         clone._cleaned_mask = self._cleaned_mask.copy()
@@ -666,14 +659,9 @@ class BandedConditionalGaussian(_StructuredConditionalBase):
         structure: BandedCovariance,
         weights: Optional[Sequence[float]] = None,
         conditional: bool = True,
-        dtype=None,
     ):
-        if dtype is None:
-            dtype = kernels.get_kernel_dtype()
-        self._bands = structure.bands.astype(dtype, copy=True)
-        super().__init__(
-            structure.size, structure.bands[0], weights, conditional, dtype=dtype
-        )
+        self._bands = structure.bands.copy()
+        super().__init__(structure.size, structure.bands[0], weights, conditional)
 
     @property
     def bandwidth(self) -> int:
@@ -743,16 +731,11 @@ class BlockConditionalGaussian(_StructuredConditionalBase):
         structure: BlockDiagonalCovariance,
         weights: Optional[Sequence[float]] = None,
         conditional: bool = True,
-        dtype=None,
     ):
-        if dtype is None:
-            dtype = kernels.get_kernel_dtype()
-        self._blocks = [m.astype(dtype, copy=True) for m in structure.blocks]
+        self._blocks = [m.copy() for m in structure.blocks]
         self._starts = structure._starts
         self._block_of = structure._block_of
-        super().__init__(
-            structure.size, structure.diagonal(), weights, conditional, dtype=dtype
-        )
+        super().__init__(structure.size, structure.diagonal(), weights, conditional)
 
     def _locate(self, j: int) -> Tuple[int, int]:
         b = int(self._block_of[j])
@@ -772,7 +755,7 @@ class BlockConditionalGaussian(_StructuredConditionalBase):
         self._blocks[b][:, j - lo] = 0.0
 
     def _current_matvec(self, w: np.ndarray) -> np.ndarray:
-        out = np.empty(self._n, dtype=self._dtype)
+        out = np.empty(self._n, dtype=float)
         for b, mat in enumerate(self._blocks):
             lo, hi = self._starts[b], self._starts[b + 1]
             out[lo:hi] = mat @ w[lo:hi]
@@ -807,16 +790,11 @@ class LowRankConditionalGaussian(_StructuredConditionalBase):
         structure: LowRankCovariance,
         weights: Optional[Sequence[float]] = None,
         conditional: bool = True,
-        dtype=None,
     ):
-        if dtype is None:
-            dtype = kernels.get_kernel_dtype()
-        self._d = structure._d.astype(dtype, copy=True)
-        self._U = structure._U.astype(dtype, copy=True)
-        self._M = structure._M.astype(dtype, copy=True)
-        super().__init__(
-            structure.size, structure.diagonal(), weights, conditional, dtype=dtype
-        )
+        self._d = structure._d.copy()
+        self._U = structure._U.copy()
+        self._M = structure._M.copy()
+        super().__init__(structure.size, structure.diagonal(), weights, conditional)
 
     @property
     def rank(self) -> int:

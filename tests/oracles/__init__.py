@@ -11,5 +11,7 @@ ground truth that shares no machinery with the fast path:
 * :mod:`oracles.knapsack` — the knapsack dynamic programs with per-capacity
   Python loops;
 * :mod:`oracles.policies` — GreedyDep, AdaptiveDep and AdaptiveMaxPr with
-  every candidate re-scored from scratch each step.
+  every candidate re-scored from scratch each step;
+* :mod:`oracles.sweeps` — the budget sweep as one independent solve per
+  budget.
 """

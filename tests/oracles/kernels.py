@@ -1,15 +1,10 @@
 """Pure-Python reference loops for the ``repro.kernels`` functions.
 
-The ground truth the randomized equivalence tests pit the numpy and compiled
-tiers against: every loop mirrors the mathematical definition one element
-at a time, with no vectorization and no clever orderings.  Each function
-takes the same arguments as the kernel of the same name.
-
-Arithmetic note: accumulations run in Python floats (double precision) and
-results are stored back in the caller's dtype, except where the *merge*
-semantics depend on the working precision (``convolve_support`` computes
-each sum in the input dtype so that float32 collisions merge exactly like
-the numpy tier's ``np.unique``).
+The ground truth the randomized equivalence tests pit the numpy kernels
+against: every loop mirrors the mathematical definition one element at a
+time, with no vectorization and no clever orderings, in Python floats
+(double precision).  Each function takes the same arguments as the kernel
+of the same name.
 """
 
 from __future__ import annotations
@@ -63,28 +58,21 @@ def convolve_support(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One discrete-convolution step via a dict of exact-equality sums.
 
-    Sums are computed in the promoted input dtype (so float32 inputs collide
-    exactly where the numpy tier's float32 outer sum collides) and equal sums
-    accumulate in order of appearance — the same association order as the
-    numpy tier's ``np.bincount`` merge, so float64 results are bit-identical.
+    Equal sums accumulate in order of appearance — the same association
+    order as the kernel's ``np.bincount`` merge, so results are
+    bit-identical.
     """
-    dtype = np.result_type(values, contributions)
     pmf: dict = {}
     for i in range(values.size):
-        vi = dtype.type(values[i])
-        pi = probabilities[i]
+        vi = float(values[i])
+        pi = float(probabilities[i])
         for j in range(contributions.size):
-            key = vi + dtype.type(contributions[j])
-            mass = pi * contribution_probabilities[j]
-            if key in pmf:
-                pmf[key] = pmf[key] + mass
-            else:
-                pmf[key] = mass
+            key = vi + float(contributions[j])
+            mass = pi * float(contribution_probabilities[j])
+            pmf[key] = pmf.get(key, 0.0) + mass
     merged = sorted(pmf.items())
-    out_values = np.array([pair[0] for pair in merged], dtype=dtype)
-    out_probabilities = np.array(
-        [pair[1] for pair in merged], dtype=np.result_type(probabilities, contribution_probabilities)
-    )
+    out_values = np.array([pair[0] for pair in merged], dtype=float)
+    out_probabilities = np.array([pair[1] for pair in merged], dtype=float)
     return out_values, out_probabilities
 
 

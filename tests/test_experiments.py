@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
+from oracles.sweeps import per_budget_sweep
 from repro.claims.functions import LinearClaim, WindowSumClaim
 from repro.claims.perturbations import PerturbationSet
 from repro.claims.quality import Bias, Duplicity
 from repro.claims.strength import lower_is_stronger
 from repro.core.expected_variance import DecomposedEVCalculator, linear_expected_variance
-from repro.core.greedy import GreedyMaxPr, GreedyMinVar, GreedyNaive, RandomSelector
+from repro.core.greedy import (
+    GreedyDep,
+    GreedyMaxPr,
+    GreedyMinVar,
+    GreedyNaive,
+    GreedyNaiveCostBlind,
+    RandomSelector,
+)
 from repro.core.modular import OptimumModularMinVar
+from repro.core.partial import GreedyPartialMinVar
 from repro.core.surprise import surprise_probability_normal_linear
 from repro.experiments.efficiency import time_budget_scaling, time_size_scaling
 from repro.experiments.reporting import format_rows, format_series_table
@@ -26,6 +35,47 @@ from repro.experiments.sweeps import (
 )
 from repro.experiments.workloads import uniqueness_workload
 from repro.datasets.synthetic import generate_urx
+from repro.uncertainty.correlation import GaussianWorldModel, banded_covariance
+from repro.uncertainty.database import UncertainDatabase
+from repro.uncertainty.structured import BandedCovariance
+
+
+@pytest.fixture
+def normal_linear():
+    """A normal-error database with varied costs and a mixed-sign linear claim."""
+    rng = np.random.default_rng(11)
+    n = 14
+    database = UncertainDatabase.from_normal_arrays(
+        current_values=rng.uniform(20.0, 80.0, n),
+        stds=rng.uniform(2.0, 9.0, n),
+        costs=rng.uniform(1.0, 10.0, n),
+    )
+    claim = LinearClaim({i: float(rng.uniform(-1.5, 1.5)) for i in range(n)})
+    return database, claim
+
+
+#: Trace-capable solvers over ``normal_linear``, one fresh instance per call.
+NORMAL_LINEAR_SOLVERS = {
+    "GreedyNaiveCostBlind": lambda db, claim: GreedyNaiveCostBlind(claim),
+    "GreedyMaxPr": lambda db, claim: GreedyMaxPr(claim, tau=2.0),
+    "GreedyPartialMinVar": lambda db, claim: GreedyPartialMinVar(claim, rho=0.5),
+    "GreedyDep-dense": lambda db, claim: GreedyDep(
+        claim,
+        GaussianWorldModel(db.current_values, banded_covariance(db.stds, bandwidth=2, rho=0.6)),
+    ),
+    "GreedyDep-marginal": lambda db, claim: GreedyDep(
+        claim,
+        GaussianWorldModel(db.current_values, banded_covariance(db.stds, bandwidth=2, rho=0.6)),
+        conditional=False,
+    ),
+    "GreedyDep-banded": lambda db, claim: GreedyDep(
+        claim,
+        GaussianWorldModel.from_structure(
+            db.current_values,
+            BandedCovariance.from_moving_average(db.stds, bandwidth=2, rho=0.6),
+        ),
+    ),
+}
 
 
 @pytest.fixture
@@ -107,17 +157,34 @@ class TestSweepEngine:
             build(),
             calculator.expected_variance,
             budget_fractions=self.FRACTIONS,
-            use_traces=True,
         )
-        per_budget = run_budget_sweep(
-            workload.database,
-            build(),
-            calculator.expected_variance,
-            budget_fractions=self.FRACTIONS,
-            use_traces=False,
+        series, selections = per_budget_sweep(
+            workload.database, build(), calculator.expected_variance, self.FRACTIONS
         )
-        assert traced.series == per_budget.series
-        assert traced.selections == per_budget.selections
+        assert traced.series == series
+        assert traced.selections == selections
+
+    @pytest.mark.parametrize("solver", list(NORMAL_LINEAR_SOLVERS))
+    def test_traced_sweep_matches_per_budget_sweep_for(self, normal_linear, solver):
+        database, claim = normal_linear
+        build = NORMAL_LINEAR_SOLVERS[solver]
+        assert build(database, claim).supports_trace  # the sweep reads one trace
+        weights = claim.weights(len(database))
+
+        def evaluate(selection):
+            return linear_expected_variance(database, weights, selection)
+
+        traced = run_budget_sweep(
+            database, {solver: build(database, claim)}, evaluate, budget_fractions=self.FRACTIONS
+        )
+        series, selections = per_budget_sweep(
+            database, {solver: build(database, claim)}, evaluate, self.FRACTIONS
+        )
+        assert traced.selections == selections
+        assert traced.series == series
+        # The sweep reaches at least one non-empty, non-final selection, so
+        # the comparison is not vacuous.
+        assert len(set(selections[solver])) > 2
 
     def test_non_incremental_algorithms_still_sweep(self, urx_uniqueness):
         workload, calculator = urx_uniqueness
@@ -146,19 +213,23 @@ class TestSweepEngine:
     def test_random_selector_keeps_per_budget_draws(self, urx_uniqueness):
         workload, calculator = urx_uniqueness
 
-        def run(use_traces):
-            return run_budget_sweep(
-                workload.database,
-                {"Random": RandomSelector(np.random.default_rng(7))},
-                calculator.expected_variance,
-                budget_fractions=(0.2, 0.5, 0.8),
-                use_traces=use_traces,
-            )
-
+        fractions = (0.2, 0.5, 0.8)
+        swept = run_budget_sweep(
+            workload.database,
+            {"Random": RandomSelector(np.random.default_rng(7))},
+            calculator.expected_variance,
+            budget_fractions=fractions,
+        )
+        _, selections = per_budget_sweep(
+            workload.database,
+            {"Random": RandomSelector(np.random.default_rng(7))},
+            calculator.expected_variance,
+            fractions,
+        )
         # RandomSelector opts out of the trace path (sweep_with_trace=False),
-        # so the engine draws an independent permutation per budget — the
-        # legacy semantics — and both engine modes agree.
-        assert run(True).selections == run(False).selections
+        # so the engine draws an independent permutation per budget, exactly
+        # like one solve per budget.
+        assert swept.selections == selections
 
     def test_sweep_algorithm_unit(self, urx_uniqueness):
         workload, calculator = urx_uniqueness

@@ -2,7 +2,7 @@
 
 Covers the resilience toolbox in isolation (deterministic fault plans,
 backoff policies, counters) and each degradation chain it drives:
-kernel→numpy, pool→serial, torn-journal recovery, NaN-event rejection —
+pool→serial, torn-journal recovery, NaN-event rejection —
 ending with the chaos invariant: a faulted replay's plans are identical
 to a clean replay's, only its counters differ.
 """
@@ -18,13 +18,10 @@ import pytest
 
 from repro.claims.functions import LinearClaim
 from repro.experiments.parallel import collect_or_rerun
-from repro.kernels import dispatch
-from repro.kernels import numpy_impl
 from repro.resilience import (
     FAULT_SITES,
     BackoffPolicy,
     FaultPlan,
-    KernelBackendFault,
     WorkerCrashFault,
     degradation_scope,
     fault_scope,
@@ -62,10 +59,10 @@ def _normal_db(n, seed):
 # FaultPlan: determinism, validation, wire form, caps
 # --------------------------------------------------------------------- #
 def test_fault_plan_decide_is_deterministic_and_pure():
-    a = FaultPlan(seed=7, rates={"kernel": 0.3})
-    b = FaultPlan(seed=7, rates={"kernel": 0.3})
-    decisions = [a.decide("kernel", i) for i in range(200)]
-    assert decisions == [b.decide("kernel", i) for i in range(200)]
+    a = FaultPlan(seed=7, rates={"store": 0.3})
+    b = FaultPlan(seed=7, rates={"store": 0.3})
+    decisions = [a.decide("store", i) for i in range(200)]
+    assert decisions == [b.decide("store", i) for i in range(200)]
     assert any(decisions) and not all(decisions)
     # Unrated and extreme-rate sites behave as constants.
     assert not any(a.decide("pool", i) for i in range(50))
@@ -77,29 +74,46 @@ def test_fault_plan_validation():
     with pytest.raises(ValueError, match="unknown fault sites"):
         FaultPlan(rates={"disk": 0.5})
     with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-        FaultPlan(rates={"kernel": 1.5})
+        FaultPlan(rates={"store": 1.5})
     with pytest.raises(ValueError, match="max_consecutive"):
         FaultPlan(max_consecutive=0)
 
 
 def test_fault_plan_json_round_trip_and_bare_rates():
-    plan = FaultPlan(seed=3, rates={"kernel": 0.1, "store": 0.2}, max_per_site=9)
+    plan = FaultPlan(seed=3, rates={"pool": 0.1, "store": 0.2}, max_per_site=9)
     assert FaultPlan.from_json(plan.to_json()) == plan
-    bare = FaultPlan.from_json('{"kernel": 0.25}')
-    assert bare == FaultPlan(seed=0, rates={"kernel": 0.25})
+    bare = FaultPlan.from_json('{"pool": 0.25}')
+    assert bare == FaultPlan(seed=0, rates={"pool": 0.25})
     with pytest.raises(ValueError, match="JSON object"):
         FaultPlan.from_json("[1, 2]")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"kernel": 0.1}', "unknown fault sites"),
+        ('{"kernel": 0.02, "store": 0.2}', "unknown fault sites"),
+        ('{"seed": 1, "rates": {"kernel": 0.05}}', "unknown fault sites"),
+        ('{"seed": 1, "rate": {"store": 0.2}}', "unknown fault plan fields"),
+    ],
+    ids=["bare_removed_site", "bare_mixed_sites", "full_removed_site", "full_misspelled_field"],
+)
+def test_fault_plan_json_refuses_what_it_would_ignore(spec, message):
+    # ``kernel`` was a site until the kernel tiers went; a stale plan naming
+    # it, or a misspelled field, must fail loudly rather than run fault-free.
+    with pytest.raises(ValueError, match=message):
+        FaultPlan.from_json(spec)
+
+
 def test_max_consecutive_forces_retry_convergence():
-    plan = FaultPlan(rates={"kernel": 1.0}, max_consecutive=2)
+    plan = FaultPlan(rates={"pool": 1.0}, max_consecutive=2)
     with fault_scope(plan):
         outcomes = []
         for _ in range(9):
             try:
-                maybe_inject("kernel")
+                maybe_inject("pool")
                 outcomes.append("ok")
-            except KernelBackendFault:
+            except WorkerCrashFault:
                 outcomes.append("fail")
     assert outcomes == ["fail", "fail", "ok"] * 3
 
@@ -200,13 +214,13 @@ def test_retry_call_nonretryable_propagates_immediately():
 def test_degradation_scopes_nest_and_merge():
     reset_global_degradations()
     with degradation_scope() as outer:
-        record_degradation("kernels", "compiled_to_numpy")
+        record_degradation("planner", "warm_to_cold")
         with degradation_scope() as inner:
             record_degradation("pool", "pool_to_serial", count=2)
         record_degradation("store", "retry")
     assert inner.snapshot() == {"pool.pool_to_serial": 2}
     assert outer.snapshot() == {
-        "kernels.compiled_to_numpy": 1,
+        "planner.warm_to_cold": 1,
         "pool.pool_to_serial": 2,
         "store.retry": 1,
     }
@@ -218,27 +232,6 @@ def test_degradation_scopes_nest_and_merge():
     assert merged.get("store", "retry") == 5
     reset_global_degradations()
     assert global_degradations().total() == 0
-
-
-# --------------------------------------------------------------------- #
-# Degradation chain: kernel → numpy
-# --------------------------------------------------------------------- #
-def test_injected_kernel_fault_degrades_one_call_to_numpy():
-    shifts = np.linspace(-2.0, 2.0, 7)
-    sds = np.full(7, 0.8)
-    expected = numpy_impl.normal_surprise_scores(shifts, sds, 0.5)
-    # The unfaulted call runs the active tier, which on the compiled tier
-    # agrees with numpy to float rounding, not bit for bit.
-    unfaulted = dispatch.normal_surprise_scores(shifts, sds, 0.5)
-    plan = FaultPlan(rates={"kernel": 1.0}, max_consecutive=1)
-    with fault_scope(plan), degradation_scope() as counters:
-        faulted = dispatch.normal_surprise_scores(shifts, sds, 0.5)
-        clean = dispatch.normal_surprise_scores(shifts, sds, 0.5)
-    np.testing.assert_array_equal(faulted, expected)
-    np.testing.assert_array_equal(clean, unfaulted)
-    tier = dispatch.effective_tier()
-    assert counters.get("kernels", f"{tier}_to_numpy") == 1
-    assert counters.get("faults", "injected_kernel") == 1
 
 
 # --------------------------------------------------------------------- #
@@ -379,7 +372,7 @@ def test_chaos_replay_has_zero_plan_divergence(tmp_path):
     journal = synthesize_journal(db, 30, seed=2, insert_weight=0.4)
     factory = lambda: StreamingPlanner(db, fn, budget=0.25 * db.total_cost)
     clean = plan_signature(replay_journal(journal, factory, compare_cold=False))
-    plan = FaultPlan(seed=5, rates={"kernel": 0.1, "store": 0.2, "event": 0.3})
+    plan = FaultPlan(seed=5, rates={"store": 0.2, "event": 0.3})
     with fault_scope(plan), degradation_scope() as counters:
         with PlanStore(tmp_path / "chaos.db") as store:
             faulted = plan_signature(
@@ -403,11 +396,11 @@ def test_repro_faults_env_installs_plan_at_import():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-    env["REPRO_FAULTS"] = '{"seed": 2, "rates": {"kernel": 0.1}}'
+    env["REPRO_FAULTS"] = '{"seed": 2, "rates": {"store": 0.1}}'
     script = (
         "from repro.resilience import active_fault_plan; "
         "plan = active_fault_plan(); "
-        "print(plan.seed, plan.rates['kernel'])"
+        "print(plan.seed, plan.rates['store'])"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, timeout=120

@@ -5,8 +5,11 @@ Endpoint behavior, idempotent ingest, the fault matrix over the new
 storage-backed database mode (lazy loads + dirty-page writeback).
 """
 
+import json
 import math
+import socket
 import threading
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.service import (
     plan_signature_hex,
 )
 from repro.service.sessions import _RWLock
+from repro.service.wire import MAX_BODY_BYTES
 from repro.store import DatabasePageStore, PlanStore, StoredDatabase
 from repro.streaming.planner import StreamingPlanner
 from repro.uncertainty.database import UncertainDatabase
@@ -133,6 +137,105 @@ def test_objects_slice(client):
     assert status == 200
     assert [o["index"] for o in body["objects"]] == [20, 21, 22, 23, 24]
     assert all(o["cost"] > 0 for o in body["objects"])
+
+
+@pytest.mark.parametrize(
+    "query", ["start=abc", "count=xyz", "start=1.5&count=3", "count=1e2", "start=0x10"]
+)
+def test_objects_slice_rejects_non_integer_bounds(client, query):
+    sid = _linear_session(client, n=25)["session"]
+    status, body = client.request("GET", f"/sessions/{sid}/objects?{query}")
+    assert status == 400 and body["code"] == "bad_field"
+
+
+def _raw_replies(url, request: bytes):
+    """Send raw request bytes and read until the server closes the socket.
+
+    Returns one ``(status, headers, json body)`` per reply, in order.  The
+    5 s timeout turns a handler blocked on an unreadable body, or a
+    connection left open, into a ``socket.timeout`` failure instead of a
+    hung test.
+    """
+    address = urlparse(url)
+    with socket.create_connection((address.hostname, address.port), timeout=5.0) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    replies = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        length = int(headers["Content-Length"])
+        replies.append((int(status_line.split()[1]), headers, json.loads(rest[:length])))
+        received = rest[length:]
+    return replies
+
+
+def _raw_exchange(url, request: bytes):
+    """The single ``(status, headers, json body)`` reply to ``request``."""
+    (reply,) = _raw_replies(url, request)
+    return reply
+
+
+@pytest.mark.parametrize(
+    "length, status, code",
+    [
+        ("-1", 400, "bad_length"),
+        ("abc", 400, "bad_length"),
+        ("+5", 400, "bad_length"),
+        ("\u00b2", 400, "bad_length"),
+        (str(MAX_BODY_BYTES + 1), 413, "too_large"),
+        ("9" * 30, 413, "too_large"),
+    ],
+    ids=["negative", "non_integer", "plus_sign", "superscript_digit", "over_limit", "far_over_limit"],
+)
+def test_unreadable_content_length_is_refused_and_closes(service, length, status, code):
+    # The body is never sent: a server that tried to read it would block.
+    # ("+5" and the Latin-1 superscript two both pass ``int()`` or
+    # ``str.isdigit``, but neither is a valid HTTP Content-Length.)
+    request = (
+        f"POST /sessions HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("latin-1")
+    got_status, headers, body = _raw_exchange(service.url, request)
+    assert (got_status, body["code"]) == (status, code)
+    assert headers["Connection"] == "close"
+    assert service.manager.session_ids() == []
+
+
+def _post_sessions(body: bytes, *, close: bool) -> bytes:
+    connection = "Connection: close\r\n" if close else ""
+    return (
+        f"POST /sessions HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        f"{connection}Content-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body
+
+
+def test_body_of_exactly_the_limit_is_read(service):
+    # The limit is inclusive: a MAX_BODY_BYTES body reaches the route,
+    # which refuses the workload kind, not the size.
+    body = b'{"kind": "no_such_kind"}'
+    body += b" " * (MAX_BODY_BYTES - len(body))
+    status, _, reply = _raw_exchange(service.url, _post_sessions(body, close=True))
+    assert (status, reply["code"]) == (400, "bad_kind")
+
+
+def test_refused_body_keeps_the_connection_framed(service):
+    # A route-level 400 reads its whole body, so the connection stays open
+    # and the next request on it parses cleanly.
+    request = _post_sessions(b'{"kind": "no_such_kind"}', close=False)
+    request += b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    (first, first_headers, first_body), (second, _, second_body) = _raw_replies(
+        service.url, request
+    )
+    assert (first, first_body["code"]) == (400, "bad_kind")
+    assert "Connection" not in first_headers
+    assert (second, second_body["status"]) == (200, "ok")
 
 
 def test_uniqueness_workload_sessions_serve_decomposed_track(client):
