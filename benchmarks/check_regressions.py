@@ -42,17 +42,10 @@ RULES = {
     ],
     "BENCH_dep.json": [
         ("speedup", ">=", "speedup_floor"),
-        ("lazy_benefit_evaluations", "<=", "eager_benefit_evaluations"),
     ],
     "BENCH_scale.json": [
         ("modular_seconds", "<=", "modular_ceiling_seconds"),
-        ("modular_stochastic_seconds", "<=", "modular_stochastic_ceiling_seconds"),
         ("dependency_seconds", "<=", "dependency_ceiling_seconds"),
-        (
-            "dependency_stochastic_seconds",
-            "<=",
-            "dependency_stochastic_ceiling_seconds",
-        ),
         ("dependency_band_storage_bytes", "<=", "band_storage_ceiling_bytes"),
         ("peak_rss_mb", "<=", "peak_rss_ceiling_mb"),
     ],

@@ -338,8 +338,7 @@ def _dep_workload(n: int, seed: int = 5):
     """Dense-weight linear claim over correlated normal errors.
 
     Dense *positive* weights so every object carries signal (a sparse claim
-    would let both paths coast through zero-gain ties) and so the lazy CELF
-    comparison below sits in its exactness regime.
+    would let both paths coast through zero-gain ties).
     """
     rng = np.random.default_rng(seed)
     objects = [
@@ -368,17 +367,14 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     """Rank-one conditioning engine vs the Schur-complement loop (BENCH_dep.json).
 
     Times the n = 500 GreedyDep selection (conditional mode, 20% budget)
-    three ways:
+    two ways:
 
     * the scratch loop (``greedy_select`` over the oracle benefit in
       ``tests/oracles/policies.py``: one pseudo-inverse Schur complement per
       candidate per step) — measured once, it is the slow baseline and
       doubles as the eager benefit-evaluation count;
     * the incremental engine (one rank-one downdate + one vectorized gains
-      pass per step) — best-of-``DEP_REPEATS`` cold runs;
-    * ``greedy_select(lazy=True)`` (CELF) over the same oracle benefit —
-      same selections, far fewer Schur complements; its evaluation count is
-      the lazy-vs-eager artifact line.
+      pass per step) — best-of-``DEP_REPEATS`` cold runs.
 
     Also times the paper-scale Figure 11 sweep (n = 2,000, marginal engine)
     and one conditional-mode n = 2,000 selection from the gamma-grid
@@ -408,14 +404,6 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
         "incremental and scratch GreedyDep must select the same objects"
     )
     speedup = scratch_seconds / max(incremental_seconds, 1e-9)
-
-    # Lazy CELF over the scratch benefit: exact here (nonnegative weights over
-    # the nonnegative decaying covariance) with far fewer Schur complements.
-    lazy_benefit = DepBenefit(claim, model)
-    start = time.perf_counter()
-    lazy_selected = greedy_select(database, budget, lazy_benefit, lazy=True)
-    lazy_seconds = time.perf_counter() - start
-    assert lazy_selected == scratch_selected
 
     # Paper-scale Figure 11: the dependency sweep at n = 2,000 (ISSUE-4
     # acceptance) plus one conditional-mode selection for the gamma ablation.
@@ -449,8 +437,6 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
         "speedup": speedup,
         "speedup_floor": DEP_SPEEDUP_FLOOR,
         "eager_benefit_evaluations": eager_evaluations,
-        "lazy_benefit_evaluations": lazy_benefit.evaluations,
-        "lazy_scratch_seconds": lazy_seconds,
         "scaled_n_objects": DEP_SCALED_N,
         "scaled_budget_fractions": list(DEP_SCALED_BUDGETS),
         "scaled_sweep_seconds": scaled_sweep_seconds,
@@ -462,9 +448,8 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     report(
         "GreedyDep conditioning engine (n=500, 20% budget): "
         f"scratch {scratch_seconds:.2f}s, incremental {incremental_seconds:.3f}s "
-        f"({speedup:.0f}x, floor {DEP_SPEEDUP_FLOOR:.0f}x); "
-        f"lazy CELF {lazy_benefit.evaluations} vs eager "
-        f"{eager_evaluations} benefit evaluations; "
+        f"({speedup:.0f}x, floor {DEP_SPEEDUP_FLOOR:.0f}x), "
+        f"{eager_evaluations} scratch benefit evaluations; "
         f"n={DEP_SCALED_N} sweep {scaled_sweep_seconds:.2f}s, "
         f"conditional selection {conditional_scaled_seconds:.2f}s; "
         f"artifact -> {DEP_ARTIFACT_PATH.name}"
@@ -474,4 +459,3 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
         f"incremental GreedyDep took {incremental_seconds:.3f}s vs scratch "
         f"{scratch_seconds:.2f}s — only {speedup:.1f}x (floor {DEP_SPEEDUP_FLOOR}x)"
     )
-    assert lazy_benefit.evaluations < eager_evaluations

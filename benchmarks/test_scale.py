@@ -1,16 +1,15 @@
-"""Large-n scale smoke for the structured selection engine (PR 6).
+"""Large-n scale smoke for the structured selection engine.
 
 Two regimes, both far beyond what the dense engine could touch:
 
 * **Modular, n = 10^6.**  Array-backed database
   (``UncertainDatabase.from_normal_arrays`` — no per-object Python
   objects), linear recent-share claim, vectorized ``GreedyMinVar`` walk at
-  a 1% budget, eager and stochastic (``epsilon = 0.1``).
+  a 1% budget.
 * **Dependency-aware, n = 10^5.**  The registered ``scale_share_banded``
   workload — banded moving-average covariance held in band storage
   (O(n * bandwidth) memory; dense would be 80 GB) — driven through
-  ``GreedyDep`` on the :class:`BandedConditionalGaussian` engine, eager
-  and stochastic.
+  ``GreedyDep`` on the :class:`BandedConditionalGaussian` engine.
 
 Timings, the engine's final effective bandwidth, its band-storage bytes,
 and the process peak RSS go to ``BENCH_scale.json`` *before* the ceiling
@@ -20,9 +19,8 @@ Deselected from tier-1 by the ``scale`` marker (see pyproject) — run with
 ``pytest benchmarks/test_scale.py -m scale``.
 
 Reference timings on the machine that introduced the engine: modular
-n = 10^6 eager ~0.3 s (stochastic ~23 s — per-step feasibility scans over
-the million-entry pool), dependency n = 10^5 ~0.25 s per variant, peak RSS
-~420 MB, final bandwidth 38 from an initial 8.
+n = 10^6 ~0.3 s, dependency n = 10^5 ~0.25 s, peak RSS ~420 MB, final
+bandwidth 38 from an initial 8.
 """
 
 import json
@@ -30,7 +28,6 @@ import resource
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.greedy import GreedyDep, GreedyMinVar
@@ -43,15 +40,12 @@ ARTIFACT_PATH = Path(__file__).parent / "BENCH_scale.json"
 
 MODULAR_N = 10**6
 DEPENDENCY_N = 10**5
-STOCHASTIC_EPSILON = 0.1
 
-# Measured ~0.3 s / ~23 s / ~0.25 s locally; ceilings are loose for slow CI
-# hosts while still catching a return to the quadratic walk (hours) or to
+# Measured ~0.3 s / ~0.25 s locally; ceilings are loose for slow CI hosts
+# while still catching a return to the quadratic walk (hours) or to
 # per-step band-storage doubling (also hours, and tens of GB).
 MODULAR_CEILING_SECONDS = 30.0
-MODULAR_STOCHASTIC_CEILING_SECONDS = 300.0
 DEPENDENCY_CEILING_SECONDS = 30.0
-DEPENDENCY_STOCHASTIC_CEILING_SECONDS = 60.0
 # O(n * bandwidth)-class memory: 256 band rows at n = 10^5 is 205 MB, vs
 # 80 GB dense.  The run lands at ~39 rows; the ceiling flags runaway fill-in.
 BAND_STORAGE_CEILING_BYTES = 256 * DEPENDENCY_N * 8
@@ -80,15 +74,6 @@ def test_scale_structured_engine(report):
     results["modular_seconds"] = time.perf_counter() - start
     results["modular_selected"] = len(eager)
 
-    start = time.perf_counter()
-    sampled = GreedyMinVar(
-        claim,
-        stochastic_epsilon=STOCHASTIC_EPSILON,
-        stochastic_rng=np.random.default_rng(42),
-    ).select_indices(database, budget)
-    results["modular_stochastic_seconds"] = time.perf_counter() - start
-    results["modular_stochastic_selected"] = len(sampled)
-
     # --- dependency-aware, n = 10^5 on the banded engine ------------------- #
     workload = build_workload("scale_share_banded", n=DEPENDENCY_N, seed=1)
     dep_database = workload.database
@@ -111,35 +96,21 @@ def test_scale_structured_engine(report):
     results["dependency_final_bandwidth"] = engine.bandwidth
     results["dependency_band_storage_bytes"] = engine.storage_nbytes
 
-    start = time.perf_counter()
-    dep_sampled = GreedyDep(
-        dep_claim,
-        workload.world_model,
-        conditional=True,
-        stochastic_epsilon=STOCHASTIC_EPSILON,
-        stochastic_rng=np.random.default_rng(3),
-    ).select_indices(dep_database, dep_budget)
-    results["dependency_stochastic_seconds"] = time.perf_counter() - start
-    results["dependency_stochastic_steps"] = len(dep_sampled)
-
     results["peak_rss_mb"] = _peak_rss_mb()
 
     artifact = {
         "description": (
             "Structured-engine scale smoke: n=1e6 modular (array-backed "
             "database, vectorized walk) and n=1e5 banded dependency "
-            "(BandedConditionalGaussian), eager + stochastic greedy"
+            "(BandedConditionalGaussian)"
         ),
         "modular_n": MODULAR_N,
         "dependency_n": DEPENDENCY_N,
         "dependency_initial_bandwidth": 8,
-        "stochastic_epsilon": STOCHASTIC_EPSILON,
         **{key: round(value, 4) if isinstance(value, float) else value
            for key, value in results.items()},
         "modular_ceiling_seconds": MODULAR_CEILING_SECONDS,
-        "modular_stochastic_ceiling_seconds": MODULAR_STOCHASTIC_CEILING_SECONDS,
         "dependency_ceiling_seconds": DEPENDENCY_CEILING_SECONDS,
-        "dependency_stochastic_ceiling_seconds": DEPENDENCY_STOCHASTIC_CEILING_SECONDS,
         "band_storage_ceiling_bytes": BAND_STORAGE_CEILING_BYTES,
         "peak_rss_ceiling_mb": PEAK_RSS_CEILING_MB,
     }
@@ -149,14 +120,8 @@ def test_scale_structured_engine(report):
 
     # Artifact is on disk — now enforce the ceilings.
     assert results["modular_selected"] > 0
-    assert len(sampled) == len(eager)  # unit costs: same step count
     assert results["dependency_steps"] == 200
     assert results["modular_seconds"] <= MODULAR_CEILING_SECONDS
-    assert results["modular_stochastic_seconds"] <= MODULAR_STOCHASTIC_CEILING_SECONDS
     assert results["dependency_seconds"] <= DEPENDENCY_CEILING_SECONDS
-    assert (
-        results["dependency_stochastic_seconds"]
-        <= DEPENDENCY_STOCHASTIC_CEILING_SECONDS
-    )
     assert results["dependency_band_storage_bytes"] <= BAND_STORAGE_CEILING_BYTES
     assert results["peak_rss_mb"] <= PEAK_RSS_CEILING_MB

@@ -160,14 +160,6 @@ class _AdaptivePolicy(Solver):
         rng = np.random.default_rng(self.simulation_seed)
         return self.run(database, budget, sampling_oracle(database, rng)).cleaned_indices
 
-    # Per-database precomputation is transient (and holds strong database
-    # references), so pickling (e.g. the sweep engine's process pool) ships
-    # the policy with it cleared rather than populated.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_prepared"] = None
-        return state
-
 
 @register_solver
 class AdaptiveMinVar(_AdaptivePolicy):

@@ -23,12 +23,19 @@ largest budget yields the exact selection at every smaller budget (the sweep
 engine's single-trace fast path).  The shared mechanics live in
 ``greedy_select``'s ``initial_selection`` (warm-start the loop from a recorded
 prefix) and ``record_steps`` (log each pick) hooks.
+
+Each solver is one exact loop: every step takes the best-ranked of all
+feasible candidates.  The engines already make a step cheap — GreedyDep
+scores every candidate in one ``engine.gains()`` pass, the decomposed
+GreedyMinVar re-scores only the term neighbours of the last pick (Theorem
+3.8) and the modular walk is one sort — so no variant samples candidates or
+re-scores them lazily from stale upper bounds.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,8 +53,6 @@ from repro.uncertainty.database import UncertainDatabase
 
 __all__ = [
     "greedy_select",
-    "stochastic_sample_size",
-    "expected_selection_steps",
     "RandomSelector",
     "GreedyNaiveCostBlind",
     "GreedyNaive",
@@ -61,43 +66,6 @@ BenefitFunction = Callable[[Sequence[int], int], float]
 _EMPTY_SET: frozenset = frozenset()
 
 
-def expected_selection_steps(costs: np.ndarray, budget: float) -> int:
-    """Expected number of greedy picks a budget affords: ``budget / mean cost``.
-
-    The ``k`` that parameterizes stochastic greedy's per-step sample size.
-    For unit costs this is exactly the cardinality constraint; for general
-    costs it is the natural estimate (clamped to ``[1, n]``), and the
-    ``(1 - 1/e - eps)`` guarantee degrades gracefully when the realized
-    number of picks differs.
-    """
-    costs = np.asarray(costs, dtype=float)
-    mean_cost = float(costs.mean())
-    if mean_cost <= 0.0 or budget <= 0.0:
-        return 1
-    return int(np.clip(np.floor(budget / mean_cost), 1, costs.size))
-
-
-def stochastic_sample_size(n: int, steps: int, epsilon: float) -> int:
-    """Per-step candidate sample size of stochastic greedy: ``ceil((n/k) ln(1/eps))``.
-
-    Sampling this many candidates uniformly per step and picking the best of
-    the sample achieves a ``(1 - 1/e - eps)`` approximation *in expectation*
-    for monotone submodular objectives under a cardinality constraint
-    (Mirzasoleiman et al., "Lazier than lazy greedy", AAAI 2015) while
-    evaluating only ``n ln(1/eps)`` candidates in total instead of ``n k``.
-    The returned size is clamped to ``[1, n]``; ``epsilon`` must lie in
-    ``(0, 1)``.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    size = int(np.ceil((n / steps) * np.log(1.0 / epsilon)))
-    return max(1, min(n, size))
-
-
 def greedy_select(
     database: UncertainDatabase,
     budget: float,
@@ -106,14 +74,15 @@ def greedy_select(
     stop_when_no_gain: bool = False,
     use_cost_ratio: bool = True,
     apply_safeguard: bool = True,
-    lazy: Union[bool, str] = False,
-    sample_size: Optional[int] = None,
-    sample_rng: Optional[np.random.Generator] = None,
     static_benefits: Optional[Sequence[float]] = None,
     initial_selection: Optional[Sequence[int]] = None,
     record_steps: Optional[List[SelectionStep]] = None,
 ) -> List[int]:
     """The Algorithm-1 greedy template.
+
+    Every adaptive step scores each feasible candidate against the current
+    selection, so each pick is the exact best ratio; the non-adaptive path
+    is one sorted walk.
 
     Parameters
     ----------
@@ -136,27 +105,6 @@ def greedy_select(
         (the cost-blind baseline).
     apply_safeguard:
         Apply the final single-item check (lines 5--8 of Algorithm 1).
-    lazy:
-        ``True`` uses lazy (CELF-style) re-evaluation of marginal benefits:
-        a max-heap of stale upper bounds, re-scoring only entries that
-        surface.  ``"celf++"`` additionally keeps CELF++'s *two-best* state:
-        each re-scored entry also records its gain with respect to the
-        current round's best candidate, so when that candidate is indeed
-        selected the entry's next-round gain is already known and is
-        promoted without a benefit evaluation.  Both are exact only when
-        marginal benefits are non-increasing in the selected set (the
-        submodular setting of Lemma 3.5).
-    sample_size / sample_rng:
-        Stochastic-greedy candidate sampling: each step scores only a
-        uniform sample of ``sample_size`` feasible candidates (the whole
-        pool when fewer remain) drawn from ``sample_rng``, instead of all of
-        them.  With ``sample_size = stochastic_sample_size(n, k, eps)`` this
-        is the "lazier than lazy greedy" algorithm with its ``(1 - 1/e -
-        eps)`` expectation guarantee at ~``n ln(1/eps)`` total evaluations.
-        Works in both the adaptive and the non-adaptive (modular) tracks;
-        mutually exclusive with ``lazy`` (sampling breaks the heap's
-        stale-bound invariant).  The rng is consumed per step, so runs are
-        reproducible exactly when the caller seeds it per run.
     static_benefits:
         Precomputed standalone benefits for the non-adaptive path (entry
         ``i`` is ``benefit((), i)``).  Skips the n Python-level benefit
@@ -167,9 +115,7 @@ def greedy_select(
         this order) by an earlier identical run — the resume half of the
         anytime-trace machinery.  Because the trace prefix is exactly what a
         from-scratch run at this budget would have picked first, warm-started
-        and from-scratch runs return identical selections.  (Stochastic runs
-        consume rng state and therefore void this equivalence — stochastic
-        solvers disable their trace support.)
+        and from-scratch runs return identical selections.
     record_steps:
         When a list is supplied, every pick is appended to it as a
         :class:`~repro.core.solver.SelectionStep` (index, cost, marginal
@@ -178,17 +124,6 @@ def greedy_select(
     """
     n = len(database)
     costs = database.costs
-    if sample_size is not None:
-        if lazy:
-            raise ValueError(
-                "sample_size (stochastic greedy) cannot be combined with lazy "
-                "evaluation: sampling re-ranks a different candidate pool each "
-                "step, which breaks the heap's stale-upper-bound invariant"
-            )
-        if sample_rng is None:
-            raise ValueError("sample_size requires sample_rng (a seeded Generator)")
-        if sample_size < 1:
-            raise ValueError(f"sample_size must be positive, got {sample_size}")
     selected: List[int] = [int(i) for i in initial_selection] if initial_selection else []
     selected_set: Set[int] = set(selected)
     spent = float(costs[selected].sum()) if selected else 0.0
@@ -213,70 +148,7 @@ def greedy_select(
                 )
             )
 
-    def sampled(candidates: np.ndarray) -> np.ndarray:
-        if sample_size is None or candidates.size <= sample_size:
-            return candidates
-        # Sorted so ties still break toward the lowest index, like a scan.
-        return np.sort(sample_rng.choice(candidates, size=sample_size, replace=False))
-
-    if adaptive and lazy:
-        import heapq
-
-        # Heap of (-score, index, generation, snd_score, snd_partner): an
-        # entry is stale when its generation predates the current selection
-        # size; stale winners are re-scored and pushed back, fresh winners
-        # are taken.  Valid when marginal benefits only shrink as the
-        # selected set grows (submodularity).  In "celf++" mode the two
-        # extra slots carry the CELF++ second-best state: the entry's score
-        # against `selected + [round_best]`, reusable for free if
-        # `round_best` is what actually gets selected.
-        two_best = lazy == "celf++"
-        if isinstance(lazy, str) and not two_best:
-            raise ValueError(f'lazy must be False, True or "celf++", got {lazy!r}')
-        heap = []
-        for i in range(n):
-            if i not in selected_set and costs[i] <= budget + 1e-9:
-                heapq.heappush(heap, (-score(i, selected), i, len(selected), None, None))
-        last_selected: Optional[int] = None
-        round_best: Optional[int] = None
-        round_best_score = -np.inf
-        while heap:
-            negative_score, index, generation, snd_score, snd_partner = heapq.heappop(heap)
-            if index in selected_set or spent + costs[index] > budget + 1e-9:
-                continue
-            if generation != len(selected):
-                if (
-                    two_best
-                    and snd_score is not None
-                    and generation == len(selected) - 1
-                    and snd_partner == last_selected
-                ):
-                    # CELF++ shortcut: the recorded second-best score was
-                    # computed against exactly the current selected set, so
-                    # promote it one generation without re-evaluating.
-                    heapq.heappush(heap, (-snd_score, index, len(selected), None, None))
-                    continue
-                fresh = score(index, selected)
-                entry_snd_score = entry_snd_partner = None
-                if two_best and round_best is not None and round_best != index:
-                    entry_snd_score = score(index, selected + [round_best])
-                    entry_snd_partner = round_best
-                if fresh > round_best_score:
-                    round_best_score, round_best = fresh, index
-                heapq.heappush(
-                    heap, (-fresh, index, len(selected), entry_snd_score, entry_snd_partner)
-                )
-                continue
-            if stop_when_no_gain and -negative_score <= 1e-15:
-                break
-            record(index, benefit(selected, index) if need_gain else -negative_score)
-            selected.append(index)
-            selected_set.add(index)
-            spent += costs[index]
-            last_selected = index
-            round_best = None
-            round_best_score = -np.inf
-    elif adaptive:
+    if adaptive:
         # Feasibility is monotone (spent only grows), so a boolean mask pruned
         # in place replaces the O(n) candidate-list rebuild of each round.
         feasible = np.ones(n, dtype=bool)
@@ -287,7 +159,6 @@ def greedy_select(
             candidates = np.flatnonzero(feasible)
             if candidates.size == 0:
                 break
-            candidates = sampled(candidates)
             best = int(max(candidates, key=lambda i: score(int(i), selected)))
             if need_gain:
                 gain = benefit(selected, best)
@@ -309,89 +180,68 @@ def greedy_select(
             static = np.array([benefit((), i) for i in range(n)], dtype=float)
         standalone_static = static
         keys = static / costs if use_cost_ratio else static
-        if sample_size is not None:
-            # Stochastic modular greedy: per-step uniform sample, best of
-            # sample by the static key.
-            feasible = np.ones(n, dtype=bool)
-            if selected:
-                feasible[selected] = False
-            while True:
-                feasible &= (spent + costs) <= budget + 1e-9
-                candidates = np.flatnonzero(feasible)
-                if candidates.size == 0:
-                    break
-                candidates = sampled(candidates)
-                best = int(candidates[int(np.argmax(keys[candidates]))])
-                if stop_when_no_gain and static[best] <= 0:
-                    break
-                record(best, static[best])
-                selected.append(best)
-                selected_set.add(best)
-                feasible[best] = False
-                spent += costs[best]
-        else:
-            # lexsort is stable, so ties on (key desc, cost asc) keep index
-            # order — exactly the semantics of the sorted() walk it replaces.
-            order = np.lexsort((costs, -keys))
-            if stop_when_no_gain:
-                # Keys sort descending, so every non-positive static benefit
-                # sits in one suffix; the sequential walk broke at its start.
-                nonpositive = np.flatnonzero(static[order] <= 0)
-                if nonpositive.size:
-                    order = order[: nonpositive[0]]
-            if selected_set:
-                keep = np.ones(n, dtype=bool)
-                keep[list(selected_set)] = False
-                order = order[keep[order]]
-            order_costs = costs[order]
-            rounds = 0
-            while order.size:
-                rounds += 1
-                if rounds > 64:
-                    # Pathological cost pattern (every round accepts and
-                    # drops only a handful of near-boundary items): finish
-                    # with the reference item-by-item walk over what is
-                    # left, which is exactly the semantics the vectorized
-                    # rounds reproduce.
-                    for raw, cost in zip(order.tolist(), order_costs.tolist()):
-                        if spent + cost <= budget + 1e-9:
-                            record(int(raw), float(static[raw]))
-                            selected.append(int(raw))
-                            selected_set.add(int(raw))
-                            spent += cost
-                    break
-                # Bulk-accept the longest affordable prefix.  The cumsum is
-                # seeded with the running spend so the float additions fold
-                # left-to-right exactly like the item-by-item walk.
-                cumulative = np.cumsum(np.concatenate(([spent], order_costs)))[1:]
-                fits = cumulative <= budget + 1e-9
-                stop = int(np.argmax(~fits)) if not fits.all() else int(fits.size)
-                if stop:
-                    taken = order[:stop]
-                    if record_steps is not None:
-                        # `spent` is only advanced after the whole bulk
-                        # accept, so per-item remaining budgets come from the
-                        # same cumulative sums that gated the accept.
-                        for position, i in enumerate(taken):
-                            record(
-                                int(i),
-                                float(static[i]),
-                                budget - float(cumulative[position]),
-                            )
-                    selected.extend(int(i) for i in taken)
-                    selected_set.update(int(i) for i in taken)
-                    spent = float(cumulative[stop - 1])
-                if stop == order.size:
-                    break
-                # Spend only grows and float addition is monotone, so any
-                # item that does not fit on its own now can never fit later.
-                # Drop that whole cohort at once — including the item at
-                # ``stop``, which just failed — instead of skipping failures
-                # one at a time (quadratic under unit costs at large n).
-                tail_costs = order_costs[stop:]
-                keep = spent + tail_costs <= budget + 1e-9
-                order = order[stop:][keep]
-                order_costs = tail_costs[keep]
+        # lexsort is stable, so ties on (key desc, cost asc) keep index
+        # order — exactly the semantics of the sorted() walk it replaces.
+        order = np.lexsort((costs, -keys))
+        if stop_when_no_gain:
+            # Keys sort descending, so every non-positive static benefit
+            # sits in one suffix; the sequential walk broke at its start.
+            nonpositive = np.flatnonzero(static[order] <= 0)
+            if nonpositive.size:
+                order = order[: nonpositive[0]]
+        if selected_set:
+            keep = np.ones(n, dtype=bool)
+            keep[list(selected_set)] = False
+            order = order[keep[order]]
+        order_costs = costs[order]
+        rounds = 0
+        while order.size:
+            rounds += 1
+            if rounds > 64:
+                # Pathological cost pattern (every round accepts and
+                # drops only a handful of near-boundary items): finish
+                # with the reference item-by-item walk over what is
+                # left, which is exactly the semantics the vectorized
+                # rounds reproduce.
+                for raw, cost in zip(order.tolist(), order_costs.tolist()):
+                    if spent + cost <= budget + 1e-9:
+                        record(int(raw), float(static[raw]))
+                        selected.append(int(raw))
+                        selected_set.add(int(raw))
+                        spent += cost
+                break
+            # Bulk-accept the longest affordable prefix.  The cumsum is
+            # seeded with the running spend so the float additions fold
+            # left-to-right exactly like the item-by-item walk.
+            cumulative = np.cumsum(np.concatenate(([spent], order_costs)))[1:]
+            fits = cumulative <= budget + 1e-9
+            stop = int(np.argmax(~fits)) if not fits.all() else int(fits.size)
+            if stop:
+                taken = order[:stop]
+                if record_steps is not None:
+                    # `spent` is only advanced after the whole bulk
+                    # accept, so per-item remaining budgets come from the
+                    # same cumulative sums that gated the accept.
+                    for position, i in enumerate(taken):
+                        record(
+                            int(i),
+                            float(static[i]),
+                            budget - float(cumulative[position]),
+                        )
+                selected.extend(int(i) for i in taken)
+                selected_set.update(int(i) for i in taken)
+                spent = float(cumulative[stop - 1])
+            if stop == order.size:
+                break
+            # Spend only grows and float addition is monotone, so any
+            # item that does not fit on its own now can never fit later.
+            # Drop that whole cohort at once — including the item at
+            # ``stop``, which just failed — instead of skipping failures
+            # one at a time (quadratic under unit costs at large n).
+            tail_costs = order_costs[stop:]
+            keep = spent + tail_costs <= budget + 1e-9
+            order = order[stop:][keep]
+            order_costs = tail_costs[keep]
 
     if apply_safeguard:
         if standalone_static is not None:
@@ -444,17 +294,6 @@ class _DatabaseKeyedCache:
 
     def reset_cache(self) -> None:
         """Drop every per-database cache (kept for API compatibility)."""
-        self._init_caches()
-
-    # Weak references are not picklable; caches are transient, so pickling
-    # (e.g. for the sweep engine's process pool) ships the solver without them.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_caches", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._init_caches()
 
 
@@ -595,17 +434,6 @@ class GreedyMinVar(ResumableSolver):
     claims the closed form is used and the algorithm degenerates to the
     modular greedy of Section 3.2 — the linear path is fully vectorized
     (``static_benefits``), so it scales to n = 10^6 (the BENCH_scale run).
-
-    ``stochastic_epsilon`` switches on stochastic-greedy candidate sampling
-    (:func:`stochastic_sample_size`): per step only ``ceil((n/k) ln(1/eps))``
-    uniformly sampled candidates are scored, trading the deterministic
-    ``(1 - 1/e)`` factor for ``(1 - 1/e - eps)`` in expectation.  A
-    stochastic instance consumes ``stochastic_rng`` per run, so anytime
-    traces no longer equal from-scratch runs — ``supports_trace`` and
-    ``sweep_with_trace`` are disabled on the instance, mirroring
-    :class:`RandomSelector`'s sweep semantics.  On the (non-linear)
-    decomposed path, sampling falls back to the generic adaptive loop — the
-    neighbour-invalidation scheme assumes every candidate's gain is current.
     """
 
     name = "GreedyMinVar"
@@ -614,23 +442,9 @@ class GreedyMinVar(ResumableSolver):
         self,
         function: ClaimFunction,
         calculator: Optional[DecomposedEVCalculator] = None,
-        stochastic_epsilon: Optional[float] = None,
-        stochastic_rng: Optional[np.random.Generator] = None,
     ):
         self.function = function
         self.calculator = calculator
-        self.stochastic_epsilon = stochastic_epsilon
-        self.stochastic_rng = stochastic_rng
-        if stochastic_epsilon is not None:
-            if stochastic_rng is None:
-                raise ValueError(
-                    "stochastic_epsilon requires stochastic_rng (seed it per "
-                    "run/cell for reproducibility)"
-                )
-            # Stochastic runs consume rng state: a trace read-back cannot
-            # reproduce a from-scratch run, so anytime traces are off.
-            self.supports_trace = False
-            self.sweep_with_trace = False
         # Auto-built calculator for the most recently seen database, so
         # repeated selections and trace resumes share the memoized per-term
         # computations even when no calculator was supplied explicitly.  Only
@@ -638,11 +452,6 @@ class GreedyMinVar(ResumableSolver):
         # strong reference to its database, so an unbounded per-database map
         # would pin every swept database in memory for the solver's lifetime.
         self._auto_calculator: Optional[Tuple[UncertainDatabase, DecomposedEVCalculator]] = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_auto_calculator"] = None
-        return state
 
     def _resolve_calculator(self, database: UncertainDatabase) -> DecomposedEVCalculator:
         # A caller-supplied calculator lets repeated selections (budget
@@ -663,14 +472,6 @@ class GreedyMinVar(ResumableSolver):
         initial_selection: Optional[Sequence[int]] = None,
         record_steps: Optional[List[SelectionStep]] = None,
     ) -> List[int]:
-        sample_size = None
-        if self.stochastic_epsilon is not None:
-            sample_size = stochastic_sample_size(
-                len(database),
-                expected_selection_steps(database.costs, budget),
-                self.stochastic_epsilon,
-            )
-
         if self.function.is_linear():
             weights = self.function.weights(len(database))
             variances = database.variances
@@ -684,20 +485,16 @@ class GreedyMinVar(ResumableSolver):
                 budget,
                 benefit,
                 adaptive=False,
-                sample_size=sample_size,
-                sample_rng=self.stochastic_rng,
                 static_benefits=contributions,
                 initial_selection=initial_selection,
                 record_steps=record_steps,
             )
 
-        use_decomposed = sample_size is None
-        if use_decomposed:
-            try:
-                calculator = self._resolve_calculator(database)
-            except TypeError:
-                use_decomposed = False
-        if not use_decomposed:
+        try:
+            calculator = self._resolve_calculator(database)
+        except TypeError:
+            calculator = None
+        if calculator is None:
             ev = make_ev_calculator(database, self.function)
 
             def benefit(current: Sequence[int], index: int) -> float:
@@ -709,8 +506,6 @@ class GreedyMinVar(ResumableSolver):
                 budget,
                 benefit,
                 adaptive=True,
-                sample_size=sample_size,
-                sample_rng=self.stochastic_rng,
                 initial_selection=initial_selection,
                 record_steps=record_steps,
             )
@@ -837,17 +632,6 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
     computed for one database can never leak into another even when callers
     forget the manual reset.  :meth:`reset_cache` remains as the explicit
     reset point that keeps long-lived solvers from accumulating caches.
-
-    ``lazy=True`` opts into CELF-style lazy re-evaluation inside
-    ``greedy_select`` — exact when marginal probability gains are
-    non-increasing in the selected set; ``lazy="celf++"`` layers the CELF++
-    two-best state on top (re-scored entries also record their gain against
-    the round's best candidate, reused for free when that candidate wins).
-    :attr:`last_benefit_evaluations` records how many benefit evaluations
-    the most recent run spent, which is where the lazy paths' saving shows
-    up.  ``stochastic_epsilon`` instead samples candidates per step
-    (stochastic greedy; mutually exclusive with ``lazy``), disabling
-    anytime-trace support on the instance like the other stochastic solvers.
     """
 
     name = "GreedyMaxPr"
@@ -859,33 +643,12 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
         rng: Optional[np.random.Generator] = None,
         monte_carlo_samples: int = 4000,
         method: str = "auto",
-        lazy: Union[bool, str] = False,
-        stochastic_epsilon: Optional[float] = None,
-        stochastic_rng: Optional[np.random.Generator] = None,
     ):
         self.function = function
         self.tau = tau
         self.rng = rng
         self.monte_carlo_samples = monte_carlo_samples
         self.method = method
-        self.lazy = lazy if isinstance(lazy, str) else bool(lazy)
-        self.stochastic_epsilon = stochastic_epsilon
-        self.stochastic_rng = stochastic_rng
-        if stochastic_epsilon is not None:
-            if stochastic_rng is None:
-                raise ValueError(
-                    "stochastic_epsilon requires stochastic_rng (seed it per "
-                    "run/cell for reproducibility)"
-                )
-            if self.lazy:
-                raise ValueError(
-                    "stochastic_epsilon cannot be combined with lazy evaluation"
-                )
-            self.supports_trace = False
-            self.sweep_with_trace = False
-        #: Benefit evaluations spent by the most recent ``_run`` (None before
-        #: any run) — the metric the lazy CELF path reduces.
-        self.last_benefit_evaluations: Optional[int] = None
         self._init_caches()
 
     def _run(
@@ -904,7 +667,6 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
             method=self.method,
         )
         cache = self._cache_for(database)
-        evaluations = 0
 
         def pr(indices: Tuple[int, ...]) -> float:
             key = frozenset(indices)
@@ -913,32 +675,18 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
             return cache[key]
 
         def benefit(current: Sequence[int], index: int) -> float:
-            nonlocal evaluations
-            evaluations += 1
             current_tuple = tuple(current)
             return pr(current_tuple + (index,)) - pr(current_tuple)
 
-        sample_size = None
-        if self.stochastic_epsilon is not None:
-            sample_size = stochastic_sample_size(
-                len(database),
-                expected_selection_steps(database.costs, budget),
-                self.stochastic_epsilon,
-            )
-        selected = greedy_select(
+        return greedy_select(
             database,
             budget,
             benefit,
             adaptive=True,
             stop_when_no_gain=True,
-            lazy=self.lazy,
-            sample_size=sample_size,
-            sample_rng=self.stochastic_rng,
             initial_selection=initial_selection,
             record_steps=record_steps,
         )
-        self.last_benefit_evaluations = evaluations
-        return selected
 
 
 @register_solver
@@ -967,8 +715,6 @@ class GreedyDep(ResumableSolver):
     the n = 10^5 dependency runs in BENCH_scale.json go through exactly this
     loop, unchanged.  Both ``conditional`` modes are covered (the marginal
     mode maintains the same matvec under row/column zeroing).
-    ``stochastic_epsilon`` samples candidates per step (stochastic greedy)
-    and disables anytime-trace support on the instance.
     """
 
     name = "GreedyDep"
@@ -978,22 +724,13 @@ class GreedyDep(ResumableSolver):
         function: ClaimFunction,
         model: GaussianWorldModel,
         conditional: bool = True,
-        stochastic_epsilon: Optional[float] = None,
-        stochastic_rng: Optional[np.random.Generator] = None,
         warm_engine=None,
     ):
         if not function.is_linear():
             raise TypeError("GreedyDep requires a linear query function")
-        if stochastic_epsilon is not None and stochastic_rng is None:
-            raise ValueError(
-                "stochastic_epsilon requires stochastic_rng (seed it per "
-                "run/cell for reproducibility)"
-            )
         self.function = function
         self.model = model
         self.conditional = conditional
-        self.stochastic_epsilon = stochastic_epsilon
-        self.stochastic_rng = stochastic_rng
         #: Optional pre-conditioned engine the selection loop clones
         #: instead of building one from the model: the streaming planner's
         #: warm-start hook.  The caller guarantees the engine carries the
@@ -1002,9 +739,6 @@ class GreedyDep(ResumableSolver):
         #: costs ``engine.copy()`` plus the loop's own downdates, never a
         #: fresh O(n^2) covariance build.
         self.warm_engine = warm_engine
-        if stochastic_epsilon is not None:
-            self.supports_trace = False
-            self.sweep_with_trace = False
 
     def _run(
         self,
@@ -1029,11 +763,6 @@ class GreedyDep(ResumableSolver):
         else:
             weights = self.function.weights(n)
             engine = self.model.engine(weights, conditional=self.conditional)
-        sample_size = None
-        if self.stochastic_epsilon is not None:
-            sample_size = stochastic_sample_size(
-                n, expected_selection_steps(costs, budget), self.stochastic_epsilon
-            )
 
         # Empty-set gains double as the single-item safeguard inputs below.
         standalone_gains = engine.gains()
@@ -1056,15 +785,7 @@ class GreedyDep(ResumableSolver):
                 ratios[pruned] = -np.inf
             if not feasible.any():
                 break
-            if sample_size is not None:
-                candidates = np.flatnonzero(feasible)
-                if candidates.size > sample_size:
-                    candidates = np.sort(
-                        self.stochastic_rng.choice(candidates, size=sample_size, replace=False)
-                    )
-                best = int(candidates[int(np.argmax(ratios[candidates]))])
-            else:
-                best = int(np.argmax(ratios))
+            best = int(np.argmax(ratios))
             if record_steps is not None:
                 record_steps.append(
                     SelectionStep(

@@ -227,8 +227,6 @@ def bicriteria_unit_cost(
     ev: EVFunction,
     budget: float,
     alpha: float = 0.5,
-    stochastic_epsilon: Optional[float] = None,
-    stochastic_rng: Optional[np.random.Generator] = None,
 ) -> List[int]:
     """Bi-criteria greedy for unit cleaning costs (end of Section 3.3).
 
@@ -237,34 +235,18 @@ def bicriteria_unit_cost(
     expected variance has dropped to an ``alpha`` fraction of its initial
     value.  Returns the selected indices; the caller decides whether the
     budget overshoot is acceptable.
-
-    With ``stochastic_epsilon`` set, each round scores only a random sample
-    of ``ceil((n / k) * ln(1 / eps))`` candidates (stochastic greedy;
-    k is the relaxed-budget step count), which trades the exact greedy
-    choice for a ``(1 - 1/e - eps)``-in-expectation guarantee and requires a
-    seeded ``stochastic_rng`` for reproducibility.
     """
-    from repro.core.greedy import expected_selection_steps, stochastic_sample_size
-
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     costs = database.costs
     if not np.allclose(costs, costs[0]):
         raise ValueError("the bi-criteria variant assumes unit (equal) cleaning costs")
-    if stochastic_epsilon is not None and stochastic_rng is None:
-        raise ValueError("stochastic_epsilon requires stochastic_rng")
 
     relaxed_budget = budget / (1.0 - alpha)
     baseline = ev([])
     target = baseline / max(1.0 / alpha, 1.0)
 
     n = len(database)
-    sample_size = None
-    if stochastic_epsilon is not None:
-        sample_size = stochastic_sample_size(
-            n, expected_selection_steps(costs, relaxed_budget), stochastic_epsilon
-        )
-
     selected: List[int] = []
     spent = 0.0
     current_value = baseline
@@ -274,13 +256,6 @@ def bicriteria_unit_cost(
         ]
         if not candidates:
             break
-        if sample_size is not None and len(candidates) > sample_size:
-            candidates = sorted(
-                int(i)
-                for i in stochastic_rng.choice(
-                    np.asarray(candidates), size=sample_size, replace=False
-                )
-            )
         gains = {i: current_value - ev(selected + [i]) for i in candidates}
         best = max(candidates, key=lambda i: gains[i])
         if gains[best] <= 1e-15:

@@ -25,10 +25,10 @@ names plus the run parameters — a few strings and numbers, never a workload
 object — and rebuilds its workloads from the registry, so the submissions
 stay pickle-light no matter how large ``n`` is.  Chunks are assembled back
 in registry order, making the pooled result cell-for-cell identical to the
-serial one (same crc32 cell seeds, same solver construction).  ``parallel``
-selects the policy: ``"auto"`` (pool when ``max_workers`` asks for it),
-``"forced"`` (always pool — errors propagate rather than downgrading), or
-``"off"``.
+serial one (same crc32 cell seeds, same solver construction).  ``None`` (the
+default) runs serially, and so does a ``max_workers`` that resolves to one
+worker.  This is the only process pool in the experiments layer: each shard
+runs its budget sweeps serially.
 
 The result is a :class:`MatrixResult`: tidy per-cell rows (objective,
 regret against the per-cell winner, win flag), per-solver win-rate/regret
@@ -99,7 +99,7 @@ def cell_seed(base_seed: int, workload: str, solver: str = "") -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Picklable objectives (the process pool cannot ship closures)
+# Objectives
 # --------------------------------------------------------------------------- #
 class CoverageObjective:
     """Sweep objective for correlated workloads: unclean variance under Sigma.
@@ -107,7 +107,7 @@ class CoverageObjective:
     The Figure 11 semantics — the variance of ``w . X`` contributed by the
     objects left unclean, computed under the *true* injected covariance —
     shared by every solver swept on a correlated workload, dependency-aware
-    or not.  Holds plain arrays, so it pickles into the process pool.
+    or not.
     """
 
     def __init__(self, weights: Sequence[float], covariance: np.ndarray):
@@ -125,8 +125,6 @@ class MeasureEVObjective:
 
     Wraps one shared :class:`DecomposedEVCalculator`, so every budget
     checkpoint of every solver reads the same memoized term computations.
-    (Claim-quality measures close over Python functions, so this objective
-    does not pickle — the sweep engine's serial fallback handles it.)
     """
 
     def __init__(self, calculator: DecomposedEVCalculator):
@@ -212,42 +210,6 @@ def _build_greedy_dep(workload: Workload, seed: int):
     return GreedyDep(function, workload.world_model, conditional=False), None
 
 
-#: epsilon of the stochastic-greedy aliases: the sample per step is
-#: ceil((n/k) ln(1/eps)) candidates and the guarantee (1 - 1/e - eps).
-STOCHASTIC_EPSILON = 0.1
-
-
-def _build_greedy_minvar_stochastic(workload: Workload, seed: int):
-    # The per-cell crc32 seed is the *only* entropy source, so matrix runs
-    # stay byte-deterministic even with candidate sampling in the loop.
-    return (
-        GreedyMinVar(
-            workload.query_function,
-            stochastic_epsilon=STOCHASTIC_EPSILON,
-            stochastic_rng=np.random.default_rng(seed),
-        ),
-        None,
-    )
-
-
-def _build_greedy_dep_stochastic(workload: Workload, seed: int):
-    if workload.world_model is None:
-        return None, "workload has no correlated world model"
-    function = workload.linear_function()
-    if function is None:
-        return None, "no linear query handle for the dependency engine"
-    return (
-        GreedyDep(
-            function,
-            workload.world_model,
-            conditional=False,
-            stochastic_epsilon=STOCHASTIC_EPSILON,
-            stochastic_rng=np.random.default_rng(seed),
-        ),
-        None,
-    )
-
-
 def _build_optimum(workload: Workload, seed: int):
     if not workload.query_function.is_linear():
         return None, "knapsack Optimum requires a linear query function"
@@ -262,8 +224,6 @@ SOLVER_BUILDERS: Dict[str, Callable] = {
     "greedy_naive": _build_greedy_naive,
     "greedy_naive_cost_blind": _build_greedy_naive_cost_blind,
     "greedy_dep": _build_greedy_dep,
-    "greedy_minvar_stochastic": _build_greedy_minvar_stochastic,
-    "greedy_dep_stochastic": _build_greedy_dep_stochastic,
     "random": _build_random,
     "optimum": _build_optimum,
 }
@@ -463,9 +423,8 @@ def _execute_workload(
     This is the unit a pool shard repeats: the workload is rebuilt from its
     registered spec *inside* the calling process (only the name crosses the
     process boundary), the sweep runs serially (the shards are the
-    parallelism — nesting pools would oversubscribe), and the result is a
-    dict of :class:`MatrixCell` rows plus bookkeeping, identical whether it
-    ran in a worker or inline.
+    parallelism), and the result is a dict of :class:`MatrixCell` rows plus
+    bookkeeping, identical whether it ran in a worker or inline.
     """
     from repro.workloads import get_workload_spec
 
@@ -488,7 +447,6 @@ def _execute_workload(
         objective,
         budget_fractions=budget_fractions,
         description=spec.description,
-        parallel="off",
     )
     seconds = time.perf_counter() - started
     initial = float(objective(()))
@@ -542,9 +500,9 @@ class ScenarioMatrix:
     ``seed`` parameterize the workload builds (fixed-dataset specs ignore
     ``n``); every (workload, solver) cell seeds its own RNG via
     :func:`cell_seed`.  ``max_workers`` (int or ``"auto"``) shards the
-    workloads across a process pool (see the module docstring); ``parallel``
-    picks the ``"auto"``/``"forced"``/``"off"`` pool policy; ``tau`` is the
-    MaxPr drop threshold.
+    workloads across a process pool when it resolves to two or more workers
+    (see the module docstring); ``None`` runs serially.  ``tau`` is the MaxPr
+    drop threshold.
     """
 
     def __init__(
@@ -556,12 +514,7 @@ class ScenarioMatrix:
         seed: int = 0,
         tau: float = 0.0,
         max_workers: Union[int, str, None] = None,
-        parallel: str = "auto",
     ):
-        if parallel not in ("auto", "forced", "off"):
-            raise ValueError(
-                f"parallel must be 'auto', 'forced' or 'off', got {parallel!r}"
-            )
         from repro.workloads import available_workloads
 
         if isinstance(workloads, str):
@@ -591,7 +544,6 @@ class ScenarioMatrix:
         self.seed = int(seed)
         self.tau = float(tau)
         self.max_workers = max_workers
-        self.parallel = parallel
 
     def _build_solvers(self, workload: Workload) -> Tuple[Dict[str, object], List[dict]]:
         return _build_solver_set(workload, self.solvers, self.seed, self.tau)
@@ -607,15 +559,12 @@ class ScenarioMatrix:
         )
 
     def _execute_all(self) -> Dict[str, dict]:
-        """Run every workload, pooled or serial per the parallel policy."""
+        """Run every workload: pooled when ``max_workers`` gives two or more."""
         names = self.workload_names
         config = self._worker_config()
-        use_pool = self.parallel == "forced" or (
-            self.parallel == "auto" and self.max_workers is not None
-        )
-        if use_pool and names:
+        if self.max_workers is not None and names:
             workers = resolve_max_workers(self.max_workers, task_count=len(names))
-            if self.parallel == "forced" or workers > 1:
+            if workers > 1:
                 return self._execute_in_pool(names, config, workers)
         return {name: _execute_workload(name, *config) for name in names}
 
@@ -688,7 +637,6 @@ class ScenarioMatrix:
             "seed": self.seed,
             "tau": self.tau,
             "max_workers": self.max_workers,
-            "parallel": self.parallel,
             "n_cells": len(cells),
             "n_skipped": len(skipped),
         }
@@ -767,13 +715,6 @@ def _parse_workers(raw: str) -> Union[int, str]:
             "machine's usable CPUs (default: serial)",
         ),
         argument(
-            "--parallel",
-            choices=("auto", "forced", "off"),
-            default="auto",
-            help="pool policy: auto (pool when --max-workers asks), forced "
-            "(always pool, never downgrade), off (default: %(default)s)",
-        ),
-        argument(
             "--out-dir",
             default="reports",
             help="directory for the JSON/CSV report artifacts (default: %(default)s)",
@@ -791,7 +732,6 @@ def _matrix_experiment(args) -> str:
         seed=args.seed,
         tau=args.tau,
         max_workers=args.max_workers,
-        parallel=args.parallel,
     )
     result = matrix.run()
     out_dir = Path(args.out_dir)

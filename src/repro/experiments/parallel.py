@@ -1,9 +1,8 @@
-"""Machine-sizing and scheduling helpers for process-pool execution.
+"""Machine-sizing and scheduling helpers for the scenario matrix's process pool.
 
-The sweep engine (:mod:`repro.experiments.sweeps`) and the scenario matrix
-(:mod:`repro.experiments.matrix`) both shard work across a process pool; the
-policy for *how many* workers and *how the work is chunked* lives here so the
-two stay consistent:
+The scenario matrix (:mod:`repro.experiments.matrix`) is the one place that
+shards work across a process pool; the policy for *how many* workers and
+*how the work is chunked* lives here:
 
 * :func:`machine_workers` sizes a pool to the CPUs this process may actually
   use (the scheduler affinity mask, not the raw core count — containers and
@@ -12,11 +11,9 @@ two stay consistent:
   (``None``, ``"auto"`` or an int) into a concrete worker count;
 * :func:`chunk_ranges` slices a task list into contiguous chunks so each
   pool submission carries several cells (amortizing per-task pickling)
-  while still letting the pool balance load across workers.
-
-``ParallelExecutionError`` is the loud failure mode behind
-``parallel="forced"``: when a caller insists on the pool, anything that
-would silently downgrade to serial execution raises instead.
+  while still letting the pool balance load across workers;
+* :func:`collect_or_rerun` collects one shard, re-running it serially when
+  its worker crashed.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from repro.resilience.degradation import record_degradation
 from repro.resilience.faults import WorkerCrashFault, maybe_inject
 
 __all__ = [
-    "ParallelExecutionError",
     "machine_workers",
     "resolve_max_workers",
     "chunk_ranges",
@@ -39,10 +35,6 @@ __all__ = [
 T = TypeVar("T")
 
 
-class ParallelExecutionError(RuntimeError):
-    """Raised when ``parallel="forced"`` cannot actually run in a pool."""
-
-
 def collect_or_rerun(future, serial_thunk: Callable[[], T]) -> T:
     """Collect one pool future, re-running the shard serially on a crash.
 
@@ -50,10 +42,7 @@ def collect_or_rerun(future, serial_thunk: Callable[[], T]) -> T:
     (``BrokenProcessPool``, or an injected
     :class:`~repro.resilience.faults.WorkerCrashFault` at site ``pool``)
     costs one serial re-run of that shard and a ``("pool",
-    "pool_to_serial")`` counter — never the whole experiment.  This applies
-    under ``parallel="forced"`` too: forced means "don't *plan* a serial
-    run", and by the time a worker crashes the parallel attempt was made;
-    re-raising would turn a recoverable fault into a lost run.
+    "pool_to_serial")`` counter — never the whole experiment.
     """
     try:
         maybe_inject("pool")

@@ -6,8 +6,7 @@ in the workload and the objective reported on the y-axis.
 
 Engine strategy
 ---------------
-Each algorithm is swept independently (which is also what makes the optional
-process pool safe):
+Each algorithm is swept independently, in the calling process:
 
 * **Incremental solvers** (``supports_trace``) are run *once*, at the largest
   requested budget, recording an anytime
@@ -20,34 +19,21 @@ process pool safe):
 * **Non-incremental solvers** (knapsack optimum, iterated submodular bounds,
   exhaustive OPT) keep the per-budget solve, exactly as before.
 
-``max_workers`` opts into a process pool that sweeps algorithms concurrently
-(``"auto"`` sizes it to the machine's usable CPUs).  Everything submitted
-must be picklable (database, algorithms, and the ``evaluate`` callable);
-when pickling fails — figure harnesses often pass local closures — the
-``parallel`` mode decides what happens: ``"auto"`` falls back to the serial
-path with a warning naming the unpicklable input, ``"forced"`` raises
-:class:`~repro.experiments.parallel.ParallelExecutionError` instead of
-silently downgrading, and ``"off"`` never touches the pool.
+A sweep is always serial.  Parallelism lives one level up: the scenario
+matrix (:mod:`repro.experiments.matrix`) shards whole workloads across its
+process pool, and each shard runs its sweeps with this engine.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.expected_variance import linear_expected_variance
 from repro.core.problems import budget_from_fraction
 from repro.core.solver import TraceNotSupported
-from repro.experiments.parallel import (
-    ParallelExecutionError,
-    collect_or_rerun,
-    resolve_max_workers,
-)
 from repro.uncertainty.database import UncertainDatabase
 
 __all__ = [
@@ -114,11 +100,10 @@ class SweepResult:
 
 
 class LinearVarianceObjective:
-    """Picklable sweep objective: remaining linear EV on a fixed database.
+    """Sweep objective: remaining linear EV on a fixed database.
 
-    Figure harnesses usually close over their workload in a local ``evaluate``
-    function, which cannot cross a process boundary; this small callable class
-    is the equivalent for linear query functions that can.
+    A callable class rather than a closure, so the scenario matrix and the
+    figure harnesses share one objective for linear query functions.
     """
 
     def __init__(self, database: UncertainDatabase, weights: Sequence[float]):
@@ -138,8 +123,7 @@ def sweep_algorithm(
     """Sweep one algorithm over the budget fractions.
 
     Returns the objective values and selections aligned with ``fractions``.
-    This is the unit of work the process pool distributes; it is also the
-    single place the trace-vs-per-budget decision is made.
+    This is the single place the trace-vs-per-budget decision is made.
     """
     fractions = [float(f) for f in fractions]
     budgets = [budget_from_fraction(database, fraction) for fraction in fractions]
@@ -177,8 +161,6 @@ def run_budget_sweep(
     evaluate: Callable[[Sequence[int]], float],
     budget_fractions: Sequence[float] = DEFAULT_BUDGET_FRACTIONS,
     description: str = "",
-    max_workers: Union[int, str, None] = None,
-    parallel: str = "auto",
 ) -> SweepResult:
     """Run each algorithm across each budget and evaluate its selection.
 
@@ -189,99 +171,18 @@ def run_budget_sweep(
     that remains, or the probability of finding a counter.
 
     Incremental solvers are traced once at the largest budget and sliced per
-    checkpoint; others run per budget (see the module docstring).  Set
-    ``max_workers`` above 1 (or ``"auto"`` for the machine's usable CPUs) to
-    sweep algorithms in a process pool.  ``parallel`` controls the fallback
-    policy: ``"auto"`` downgrades to serial with a warning when the inputs
-    cannot cross a process boundary, ``"forced"`` always uses the pool and
-    raises instead of downgrading, ``"off"`` stays serial regardless.
+    checkpoint; others run per budget (see the module docstring).
     """
-    if parallel not in ("auto", "forced", "off"):
-        raise ValueError(
-            f"parallel must be 'auto', 'forced' or 'off', got {parallel!r}"
-        )
     fractions = [float(f) for f in budget_fractions]
-    names = list(algorithms)
-
-    results: Optional[Dict[str, Tuple[List[float], List[tuple]]]] = None
-    if parallel != "off":
-        workers = resolve_max_workers(max_workers, task_count=len(names)) if (
-            max_workers is not None or parallel == "forced"
-        ) else 1
-        if parallel == "forced" or (workers > 1 and len(names) > 1):
-            results = _sweep_in_pool(
-                database,
-                algorithms,
-                fractions,
-                evaluate,
-                max(1, workers),
-                forced=parallel == "forced",
-            )
-    if results is None:
-        results = {
-            name: sweep_algorithm(database, algorithms[name], fractions, evaluate)
-            for name in names
-        }
-
-    series = {name: results[name][0] for name in names}
-    selections = {name: results[name][1] for name in names}
+    series: Dict[str, List[float]] = {}
+    selections: Dict[str, List[tuple]] = {}
+    for name, algorithm in algorithms.items():
+        series[name], selections[name] = sweep_algorithm(
+            database, algorithm, fractions, evaluate
+        )
     return SweepResult(
         budget_fractions=fractions,
         series=series,
         selections=selections,
         description=description,
     )
-
-
-def _sweep_in_pool(
-    database: UncertainDatabase,
-    algorithms: Mapping[str, object],
-    fractions: List[float],
-    evaluate: Callable[[Sequence[int]], float],
-    max_workers: int,
-    forced: bool = False,
-) -> Optional[Dict[str, Tuple[List[float], List[tuple]]]]:
-    """Sweep algorithms concurrently; None when the inputs cannot cross processes.
-
-    Picklability is probed up front (figure harnesses often pass local
-    closures as ``evaluate``), so the serial fallback happens before any work
-    is spent — and a genuine error raised by an algorithm inside a worker
-    propagates to the caller instead of being mistaken for a pickling issue.
-    The fallback is never silent: ``forced=True`` raises
-    :class:`ParallelExecutionError`, otherwise a ``RuntimeWarning`` names the
-    pickling failure so a sweep that quietly lost its parallelism is visible.
-    """
-    try:
-        pickle.dumps((database, dict(algorithms), evaluate))
-    except Exception as error:
-        message = (
-            "budget sweep inputs cannot cross a process boundary "
-            f"({type(error).__name__}: {error}); "
-        )
-        if forced:
-            raise ParallelExecutionError(
-                message + "parallel='forced' refuses to downgrade to serial"
-            ) from error
-        warnings.warn(
-            message + "falling back to the serial sweep",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    names = list(algorithms)
-    with ProcessPoolExecutor(max_workers=min(max_workers, len(names))) as pool:
-        futures = {
-            name: pool.submit(sweep_algorithm, database, algorithms[name], fractions, evaluate)
-            for name in names
-        }
-        # A worker crash degrades that one algorithm to a serial re-run
-        # (counted, not warned) instead of losing the whole sweep.
-        return {
-            name: collect_or_rerun(
-                future,
-                lambda name=name: sweep_algorithm(
-                    database, algorithms[name], fractions, evaluate
-                ),
-            )
-            for name, future in futures.items()
-        }

@@ -45,7 +45,6 @@ from repro.store.columns import DatabasePageStore
 from repro.store.sqlite_store import PlanStore
 from repro.streaming.events import (
     CostChangeEvent,
-    InsertEvent,
     RemoveEvent,
     RevealEvent,
     StreamEvent,
@@ -153,8 +152,24 @@ class SessionConfig:
             )
         if self.n < 2:
             raise ServiceError(400, f"n must be at least 2, got {self.n}", "bad_field")
-        if not self.budget > 0:
-            raise ServiceError(400, f"budget must be positive, got {self.budget}", "bad_field")
+        if self.seed < 0:
+            raise ServiceError(400, f"seed must be nonnegative, got {self.seed}", "bad_field")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ServiceError(
+                400, f"budget must be finite and positive, got {self.budget}", "bad_field"
+            )
+        if not math.isfinite(self.gamma):
+            raise ServiceError(400, f"gamma must be finite, got {self.gamma}", "bad_field")
+        if self.window_width < 1:
+            raise ServiceError(
+                400, f"window_width must be at least 1, got {self.window_width}", "bad_field"
+            )
+        if self.kind == "urx_uniqueness" and self.n < self.window_width:
+            raise ServiceError(
+                400,
+                f"n={self.n} is smaller than window_width={self.window_width}",
+                "bad_field",
+            )
         if self.page_size < 1:
             raise ServiceError(400, f"page_size must be positive, got {self.page_size}", "bad_field")
 
@@ -182,6 +197,8 @@ class SessionConfig:
         merged = dict(payload)
         if "budget" in merged:
             merged["budget"] = require_number(merged, "budget")
+        if not isinstance(merged.get("storage_backed", False), bool):
+            raise ServiceError(400, "field 'storage_backed' must be a boolean", "bad_field")
         try:
             return cls(
                 kind=str(merged.get("kind", "linear_normal")),
@@ -190,7 +207,7 @@ class SessionConfig:
                 budget=float(merged.get("budget", 10.0)),
                 gamma=float(merged.get("gamma", 170.0)),
                 window_width=int(merged.get("window_width", 4)),
-                storage_backed=bool(merged.get("storage_backed", False)),
+                storage_backed=merged.get("storage_backed", False),
                 page_size=int(merged.get("page_size", 1024)),
                 checkpoint_every=int(merged.get("checkpoint_every", 10)),
             )
@@ -448,16 +465,6 @@ class Session:
             event = event_from_dict(dict(payload))
         except (KeyError, TypeError, ValueError) as error:
             raise ServiceError(400, f"malformed event: {error}", "bad_event") from None
-        n = len(self.planner.database)
-        index = getattr(event, "index", None)
-        if index is not None and not 0 <= int(index) < n:
-            raise ServiceError(
-                400, f"object index {index} out of range for n={n}", "bad_event"
-            )
-        if isinstance(event, InsertEvent) and event.name in self.planner.database:
-            raise ServiceError(
-                400, f"object name {event.name!r} already exists", "bad_event"
-            )
         try:
             self.planner._validate_event(event)
         except (TypeError, ValueError) as error:

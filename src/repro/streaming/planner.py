@@ -53,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -591,8 +592,24 @@ class StreamingPlanner:
         A NaN smuggled into a reveal value or a cost delta would poison
         every later solve silently; raising here keeps the planner state
         pristine, which is what lets the durable path re-read the
-        uncorrupted event from the store and retry.
+        uncorrupted event from the store and retry.  The same holds for
+        events the planner could never apply — an index that is not an
+        integer in ``[0, n)``, an insert name that is empty, not a string
+        or already taken: with a bound store, validation is the last check
+        before the event is journaled, and a journaled event that cannot
+        be applied would wedge the stream and every resume of it.
         """
+        if isinstance(event, (RevealEvent, CostChangeEvent, RemoveEvent)):
+            index = event.index
+            n = len(self.database)
+            if (
+                not isinstance(index, numbers.Integral)
+                or isinstance(index, bool)
+                or not 0 <= index < n
+            ):
+                raise ValueError(
+                    f"{event.kind} index must be an integer in [0, {n}), got {index!r}"
+                )
         if isinstance(event, RevealEvent):
             if not math.isfinite(float(event.value)):
                 raise ValueError(
@@ -607,6 +624,12 @@ class StreamingPlanner:
                     f"got {event.cost!r}"
                 )
         elif isinstance(event, InsertEvent):
+            if not isinstance(event.name, str) or not event.name:
+                raise ValueError(
+                    f"insert name must be a non-empty string, got {event.name!r}"
+                )
+            if event.name in self.database:
+                raise ValueError(f"insert name {event.name!r} already names an object")
             for label in ("current_value", "mean", "weight"):
                 if not math.isfinite(float(getattr(event, label))):
                     raise ValueError(

@@ -1,14 +1,15 @@
-"""From-scratch reference loops for the dependency-aware and adaptive policies.
+"""From-scratch reference loops for the dependency-aware, MaxPr and adaptive policies.
 
-The production policies keep a conditioning engine, overlay database or
-surprise kernel alive across steps.  These loops instead recompute every
-candidate's objective from scratch each step — one Schur complement or one
-surprise-calculator call per candidate — so a shared-state bug in the fast
-path cannot hide in the reference.
+The production policies keep a conditioning engine, overlay database,
+probability cache or surprise kernel alive across steps.  These loops
+instead recompute every candidate's objective from scratch each step — one
+Schur complement or one surprise probability per candidate — so a
+shared-state bug in the fast path cannot hide in the reference.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,14 @@ from repro.core.surprise import make_surprise_calculator
 from repro.uncertainty.correlation import GaussianWorldModel
 from repro.uncertainty.database import UncertainDatabase
 
-__all__ = ["variance_after", "DepBenefit", "greedy_dep", "adaptive_dep", "adaptive_maxpr"]
+__all__ = [
+    "variance_after",
+    "DepBenefit",
+    "greedy_dep",
+    "greedy_maxpr",
+    "adaptive_dep",
+    "adaptive_maxpr",
+]
 
 
 def variance_after(
@@ -91,6 +99,67 @@ def _affordable(database: UncertainDatabase, cleaned, spent: float, budget: floa
     return [
         i for i in range(len(database)) if i not in cleaned and spent + costs[i] <= budget + 1e-9
     ]
+
+
+def _normal_surprise(
+    database: UncertainDatabase, weights: np.ndarray, cleaned: Sequence[int], tau: float
+) -> float:
+    """``Pr[f(X') < f(u) - tau]`` for a linear ``f`` over independent normal errors.
+
+    Only the cleaned objects are re-drawn, so ``f(X') - f(u)`` is normal with
+    mean ``sum w_i (mu_i - u_i)`` and variance ``sum w_i^2 sigma_i^2`` over
+    ``cleaned``; the cdf is taken through ``math.erfc``.
+    """
+    if not cleaned:
+        return 0.0
+    shift = 0.0
+    variance = 0.0
+    for i in sorted(cleaned):
+        distribution = database[i].distribution
+        shift += weights[i] * (distribution.mean - database[i].current_value)
+        variance += weights[i] ** 2 * distribution.variance
+    if variance <= 0.0:
+        return 1.0 if shift < -tau else 0.0
+    return 0.5 * math.erfc((tau + shift) / math.sqrt(2.0 * variance))
+
+
+def greedy_maxpr(
+    function: ClaimFunction, database: UncertainDatabase, budget: float, tau: float = 0.0
+) -> List[int]:
+    """GreedyMaxPr on an all-normal database, as a scratch Algorithm-1 loop.
+
+    Every step recomputes each affordable candidate's surprise probability
+    from the normal closed form, with no cache and no ``greedy_select``; it
+    stops once the best ratio's gain is not positive, then applies the
+    single-item safeguard on standalone probabilities.
+    """
+    weights = function.weights(len(database))
+    costs = database.costs
+    selected: List[int] = []
+    spent = 0.0
+    while True:
+        candidates = _affordable(database, selected, spent, budget)
+        if not candidates:
+            break
+        current = _normal_surprise(database, weights, selected, tau)
+        gains = {
+            i: _normal_surprise(database, weights, selected + [i], tau) - current
+            for i in candidates
+        }
+        best = max(candidates, key=lambda i: gains[i] / costs[i])
+        if gains[best] <= 1e-15:
+            break
+        selected.append(best)
+        spent += costs[best]
+    remaining = _affordable(database, selected, 0.0, budget)
+    if remaining:
+        standalone = {
+            i: _normal_surprise(database, weights, [i], tau) for i in range(len(database))
+        }
+        best_single = max(remaining, key=lambda i: standalone[i])
+        if standalone[best_single] > sum(standalone[i] for i in selected):
+            return [best_single]
+    return selected
 
 
 def adaptive_dep(

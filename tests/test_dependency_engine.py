@@ -1,4 +1,4 @@
-"""Equivalence suite for the rank-one Gaussian conditioning engine (ISSUE 4).
+"""Equivalence suite for the rank-one Gaussian conditioning engine.
 
 Three contracts are pinned here:
 
@@ -6,12 +6,15 @@ Three contracts are pinned here:
   (one rank-one downdate + one vectorized gains pass per step) must produce
   the same selections *and the same per-step gains* (atol 1e-9) as the
   per-candidate Schur-complement loop in :mod:`oracles.policies`, across
-  randomized workloads and both ``conditional`` modes.
-* **Lazy CELF == eager** in the submodular regime (nonnegative weights over
-  the decaying covariance for the GreedyDep benefit; centered errors with a
-  small tau for GreedyMaxPr), with strictly fewer benefit evaluations.
+  randomized workloads (signed weights, and nonnegative weights over the
+  decaying covariance) and both ``conditional`` modes.
+* **GreedyMaxPr == the scratch oracle** on centred normal errors with a
+  small tau: the same selections as a loop that recomputes every
+  candidate's surprise probability from the normal closed form each step.
 * **AdaptiveDep == the scratch oracle** — same cleaned sequence, same
   conditional-variance trajectory.
+
+No solver takes a ``lazy`` option: each runs one exact greedy loop.
 """
 
 import numpy as np
@@ -59,13 +62,37 @@ def _dep_setup(seed: int, weight_low: float = -1.5):
     return database, claim, model
 
 
+def _centred_normal_database(seed: int):
+    """Normal errors centred on the current values, plus a positive-weight claim."""
+    rng = np.random.default_rng(seed)
+    objects = []
+    for i in range(N_OBJECTS):
+        mean = float(rng.uniform(20.0, 80.0))
+        objects.append(
+            UncertainObject(
+                name=f"v{i}",
+                current_value=mean,
+                distribution=NormalSpec(mean=mean, std=float(rng.uniform(2.0, 9.0))),
+                cost=float(rng.uniform(1.0, 10.0)),
+            )
+        )
+    claim = LinearClaim({i: float(rng.uniform(0.5, 1.5)) for i in range(N_OBJECTS)})
+    return UncertainDatabase(objects), claim
+
+
 class TestGreedyDepIncrementalEquivalence:
-    """20 seeded workloads, both conditional modes."""
+    """20 seeded workloads per weight regime, both conditional modes."""
 
     @pytest.mark.parametrize("conditional", [True, False])
-    @pytest.mark.parametrize("seed", range(20))
-    def test_selections_and_per_step_gains_match(self, seed, conditional):
-        database, claim, model = _dep_setup(seed)
+    @pytest.mark.parametrize(
+        "seed, weight_low",
+        # Signed weights, then nonnegative weights over the (elementwise
+        # nonnegative) decaying covariance, where every gain only shrinks.
+        [pytest.param(seed, -1.5, id=str(seed)) for seed in range(20)]
+        + [pytest.param(seed, 0.2, id=f"nonneg{seed}") for seed in range(20)],
+    )
+    def test_selections_and_per_step_gains_match(self, seed, weight_low, conditional):
+        database, claim, model = _dep_setup(seed, weight_low=weight_low)
         for fraction in (0.25, 0.6):
             budget = database.total_cost * fraction
             incremental_steps: list = []
@@ -95,51 +122,21 @@ class TestGreedyDepIncrementalEquivalence:
             assert trace.indices_at(budget) == scratch
 
 
-class TestLazyCelf:
-    """Lazy (CELF) re-evaluation is exact when marginal gains only shrink."""
-
-    @pytest.mark.parametrize("conditional", [True, False])
+class TestGreedyMaxPrOracle:
     @pytest.mark.parametrize("seed", range(10))
-    def test_greedy_dep_lazy_matches_eager(self, seed, conditional):
-        # Nonnegative weights over the (elementwise nonnegative) decaying
-        # covariance keep the variance-reduction gains non-increasing, the
-        # regime where CELF's stale upper bounds are valid.
-        database, claim, model = _dep_setup(seed, weight_low=0.2)
-        for fraction in (0.3, 0.6):
+    def test_selections_match_scratch_loop(self, seed):
+        database, claim = _centred_normal_database(seed)
+        solver = GreedyMaxPr(claim, tau=1.0)
+        # The smallest budget affords a few objects, where the single-item
+        # safeguard can overrule the ratio order.
+        for fraction in (0.05, 0.2, 0.5):
             budget = database.total_cost * fraction
-            eager = oracle.DepBenefit(claim, model, conditional)
-            lazy = oracle.DepBenefit(claim, model, conditional)
-            assert greedy_select(database, budget, eager) == greedy_select(
-                database, budget, lazy, lazy=True
-            )
-            assert lazy.evaluations <= eager.evaluations
+            expected = oracle.greedy_maxpr(claim, database, budget, tau=1.0)
+            assert solver.select_indices(database, budget) == expected
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_greedy_maxpr_lazy_matches_eager(self, seed):
-        # Centered errors with tau below every single-object deviation keep
-        # the probability gains non-increasing (the cumulative variance stays
-        # above tau^2 / 3, where the normal cdf's sensitivity is decreasing).
-        rng = np.random.default_rng(seed)
-        objects = []
-        for i in range(N_OBJECTS):
-            mean = float(rng.uniform(20.0, 80.0))
-            objects.append(
-                UncertainObject(
-                    name=f"v{i}",
-                    current_value=mean,
-                    distribution=NormalSpec(mean=mean, std=float(rng.uniform(2.0, 9.0))),
-                    cost=float(rng.uniform(1.0, 10.0)),
-                )
-            )
-        database = UncertainDatabase(objects)
-        claim = LinearClaim({i: float(rng.uniform(0.5, 1.5)) for i in range(N_OBJECTS)})
-        budget = database.total_cost * 0.5
-        eager = GreedyMaxPr(claim, tau=1.0)
-        lazy = GreedyMaxPr(claim, tau=1.0, lazy=True)
-        assert eager.select_indices(database, budget) == lazy.select_indices(
-            database, budget
-        )
-        assert lazy.last_benefit_evaluations <= eager.last_benefit_evaluations
+
+class TestLazyCelf:
+    """No lazy (CELF) re-evaluation: every greedy runs one exact loop."""
 
     def test_greedy_dep_takes_no_lazy(self):
         # The engine scores every candidate in one vectorized pass: there are
@@ -148,15 +145,14 @@ class TestLazyCelf:
         with pytest.raises(TypeError):
             GreedyDep(claim, model, lazy=True)
 
-    def test_lazy_reduces_evaluations_materially(self):
-        """Not just <=: on a non-trivial run CELF skips a real fraction."""
-        database, claim, model = _dep_setup(7, weight_low=0.2)
-        budget = database.total_cost * 0.6
-        eager = oracle.DepBenefit(claim, model)
-        greedy_select(database, budget, eager)
-        lazy = oracle.DepBenefit(claim, model)
-        greedy_select(database, budget, lazy, lazy=True)
-        assert lazy.evaluations < eager.evaluations
+    def test_greedy_maxpr_and_greedy_select_take_no_lazy(self):
+        # CELF is exact only while gains never grow, which MaxPr does not
+        # guarantee, so neither entry point offers it.
+        database, claim = _centred_normal_database(0)
+        with pytest.raises(TypeError):
+            GreedyMaxPr(claim, lazy=True)
+        with pytest.raises(TypeError):
+            greedy_select(database, database.total_cost, lambda T, i: 1.0, lazy=True)
 
 
 class TestAdaptiveDep:

@@ -28,11 +28,7 @@ from repro.experiments.scenarios import (
     run_counter_discovery,
     run_in_action_experiment,
 )
-from repro.experiments.sweeps import (
-    LinearVarianceObjective,
-    run_budget_sweep,
-    sweep_algorithm,
-)
+from repro.experiments.sweeps import run_budget_sweep, sweep_algorithm
 from repro.experiments.workloads import uniqueness_workload
 from repro.datasets.synthetic import generate_urx
 from repro.uncertainty.correlation import GaussianWorldModel, banded_covariance
@@ -241,54 +237,6 @@ class TestSweepEngine:
         )
         assert len(values) == len(selections) == 2
         assert values[1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_process_pool_matches_serial(self):
-        from repro.claims.functions import LinearClaim
-
-        database = generate_urx(n=24, seed=5)
-        claim = LinearClaim({i: 1.0 + 0.1 * i for i in range(24)})
-        evaluate = LinearVarianceObjective(database, claim.weights(24))
-
-        def build():
-            return {
-                "GreedyNaive": GreedyNaive(claim),
-                "GreedyMinVar": GreedyMinVar(claim),
-                "Optimum": OptimumModularMinVar(claim),
-            }
-
-        serial = run_budget_sweep(
-            database, build(), evaluate, budget_fractions=(0.2, 0.5, 1.0)
-        )
-        parallel = run_budget_sweep(
-            database, build(), evaluate, budget_fractions=(0.2, 0.5, 1.0), max_workers=2
-        )
-        assert parallel.series == serial.series
-        assert parallel.selections == serial.selections
-
-    def test_process_pool_falls_back_on_unpicklable_inputs(self, urx_uniqueness):
-        workload, calculator = urx_uniqueness
-        algorithms = {
-            "GreedyNaive": GreedyNaive(workload.query_function),
-            "GreedyMinVar": GreedyMinVar(workload.query_function, calculator=calculator),
-        }
-        # A local closure cannot cross the process boundary; the engine must
-        # compute the identical result serially — and say so (the downgrade
-        # was silent before PR 7; now it names the unpicklable input).
-        with pytest.warns(RuntimeWarning, match="cannot cross a process boundary"):
-            parallel = run_budget_sweep(
-                workload.database,
-                algorithms,
-                lambda T: calculator.expected_variance(T),
-                budget_fractions=(0.3, 1.0),
-                max_workers=2,
-            )
-        serial = run_budget_sweep(
-            workload.database,
-            algorithms,
-            calculator.expected_variance,
-            budget_fractions=(0.3, 1.0),
-        )
-        assert parallel.series == serial.series
 
 
 class TestBestAlgorithmAt:

@@ -205,29 +205,33 @@ class TestObjectives:
         for cell in result.cells:
             assert cell.objective <= cell.initial_objective + 1e-9
 
-    def test_pool_path_matches_serial(self):
-        serial = small_matrix(workloads="fairness_normal_chain").run()
-        pooled = small_matrix(workloads="fairness_normal_chain", max_workers=2).run()
-        a = [c.as_row() for c in serial.cells]
-        b = [c.as_row() for c in pooled.cells]
-        assert a == b
+    def test_pool_matches_serial_across_workloads(self, monkeypatch):
+        # Three workloads at max_workers=2 resolve to two workers, so the run
+        # crosses the process boundary and must reassemble the cells in
+        # workload order.
+        pooled_with = []
+        execute_in_pool = ScenarioMatrix._execute_in_pool
 
-    def test_forced_pool_matches_serial_across_workloads(self):
-        # parallel="forced" must actually shard through the pool (even with a
-        # single usable CPU) and reassemble cells in workload order.
-        serial = small_matrix(parallel="off").run()
-        forced = small_matrix(parallel="forced", max_workers=2).run()
-        a = [c.as_row() for c in serial.cells]
-        b = [c.as_row() for c in forced.cells]
-        assert a == b
-        assert forced.meta["parallel"] == "forced"
-        assert serial.meta["parallel"] == "off"
+        def spy(names, config, workers):
+            pooled_with.append(workers)
+            return execute_in_pool(names, config, workers)
+
+        monkeypatch.setattr(ScenarioMatrix, "_execute_in_pool", staticmethod(spy))
+        serial = small_matrix().run()
+        assert pooled_with == []
+        pooled = small_matrix(max_workers=2).run()
+        assert pooled_with == [2]
+        assert [c.as_row() for c in pooled.cells] == [c.as_row() for c in serial.cells]
 
     def test_auto_without_workers_stays_serial(self):
         result = small_matrix(workloads="fairness_normal_chain").run()
-        assert result.meta["parallel"] == "auto"
         assert result.meta["max_workers"] is None
 
-    def test_invalid_parallel_mode_raises(self):
-        with pytest.raises(ValueError, match="parallel"):
-            small_matrix(parallel="eager")
+    def test_parallel_option_is_gone(self, capsys):
+        # max_workers alone selects the pool.
+        with pytest.raises(TypeError):
+            small_matrix(parallel="off")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["matrix", "--parallel", "off"])
+        assert exit_info.value.code == 2
+        assert "--parallel" in capsys.readouterr().err

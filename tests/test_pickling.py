@@ -1,12 +1,10 @@
-"""Process-boundary contracts: what the pools ship must round-trip pickle.
+"""Pickle round-trips, and the sizing helpers of the scenario matrix's pool.
 
-The sweep engine and the scenario matrix push work through
-``ProcessPoolExecutor``; everything they submit — databases, structured
-covariances, objectives — must survive ``pickle`` and behave identically on
-the other side.  These tests pin that, plus the two fallback policies when
-inputs *cannot* cross the boundary: ``parallel="auto"`` downgrades with a
-``RuntimeWarning`` naming the failure, ``parallel="forced"`` raises
-:class:`~repro.experiments.parallel.ParallelExecutionError`.
+Structured covariances, array-backed databases and sweep objectives must
+survive ``pickle`` and behave identically on the other side, so a caller
+can cache them or hand them to its own processes.  The matrix pool itself
+ships only workload names and run parameters; its worker-sizing and
+chunking helpers are pinned here too.
 """
 
 from __future__ import annotations
@@ -17,15 +15,9 @@ import numpy as np
 import pytest
 
 from repro.claims.functions import LinearClaim
-from repro.core.greedy import GreedyMinVar
 from repro.datasets.synthetic import generate_urx
-from repro.experiments.parallel import (
-    ParallelExecutionError,
-    chunk_ranges,
-    machine_workers,
-    resolve_max_workers,
-)
-from repro.experiments.sweeps import LinearVarianceObjective, run_budget_sweep
+from repro.experiments.parallel import chunk_ranges, machine_workers, resolve_max_workers
+from repro.experiments.sweeps import LinearVarianceObjective
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.structured import (
     BandedCovariance,
@@ -108,66 +100,6 @@ class TestDatabasePickling:
         clone = _roundtrip(objective)
         for selection in [(), (0, 3), tuple(range(10))]:
             assert clone(selection) == objective(selection)
-
-
-class TestParallelPolicies:
-    def test_forced_mode_raises_on_unpicklable_inputs(self):
-        database = generate_urx(n=12, seed=1)
-        claim = LinearClaim({i: 1.0 for i in range(12)})
-        objective = LinearVarianceObjective(database, claim.weights(12))
-        with pytest.raises(ParallelExecutionError, match="process boundary"):
-            run_budget_sweep(
-                database,
-                {"GreedyMinVar": GreedyMinVar(claim)},
-                lambda T: objective(T),  # a closure cannot be pickled
-                budget_fractions=(0.5,),
-                parallel="forced",
-            )
-
-    def test_auto_mode_warns_and_matches_serial(self):
-        database = generate_urx(n=12, seed=1)
-        claim = LinearClaim({i: 1.0 for i in range(12)})
-        other = LinearClaim({i: 1.0 + 0.2 * i for i in range(12)})
-        objective = LinearVarianceObjective(database, claim.weights(12))
-        algorithms = {
-            "GreedyMinVar": GreedyMinVar(claim),
-            "GreedyMinVarSteep": GreedyMinVar(other),
-        }
-        with pytest.warns(RuntimeWarning, match="cannot cross a process boundary"):
-            downgraded = run_budget_sweep(
-                database,
-                algorithms,
-                lambda T: objective(T),
-                budget_fractions=(0.3, 0.8),
-                max_workers=2,
-            )
-        serial = run_budget_sweep(
-            database, algorithms, objective, budget_fractions=(0.3, 0.8), parallel="off"
-        )
-        assert downgraded.series == serial.series
-        assert downgraded.selections == serial.selections
-
-    def test_forced_mode_runs_pool_with_picklable_inputs(self):
-        # Even on a 1-CPU machine, forced mode must actually cross the
-        # process boundary and come back with the serial answer.
-        database = generate_urx(n=12, seed=2)
-        claim = LinearClaim({i: 1.0 + 0.1 * i for i in range(12)})
-        objective = LinearVarianceObjective(database, claim.weights(12))
-        algorithms = {"GreedyMinVar": GreedyMinVar(claim)}
-        forced = run_budget_sweep(
-            database, algorithms, objective, budget_fractions=(0.5,), parallel="forced"
-        )
-        serial = run_budget_sweep(
-            database, algorithms, objective, budget_fractions=(0.5,), parallel="off"
-        )
-        assert forced.series == serial.series
-
-    def test_invalid_parallel_mode_raises(self):
-        database = generate_urx(n=8, seed=0)
-        with pytest.raises(ValueError, match="parallel"):
-            run_budget_sweep(
-                database, {}, lambda T: 0.0, budget_fractions=(0.5,), parallel="eager"
-            )
 
 
 class TestWorkerSizing:

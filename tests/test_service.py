@@ -131,6 +131,62 @@ def test_ingest_validation_leaves_nothing_durable(client, service):
     assert client.info(sid)["version"] == 0
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"seed": -1},
+        {"kind": "urx_uniqueness", "n": 20, "window_width": 0},
+        {"kind": "urx_uniqueness", "n": 3},
+        {"budget": math.inf},
+        {"gamma": math.nan},
+        {"storage_backed": "false"},
+    ],
+    ids=[
+        "negative_seed",
+        "zero_window",
+        "fewer_objects_than_window",
+        "infinite_budget",
+        "nan_gamma",
+        "string_storage_backed",
+    ],
+)
+def test_session_config_refuses_what_cannot_be_built_or_echoed(client, config):
+    status, body = client.request("POST", "/sessions", body=config)
+    assert status == 400 and body["code"] == "bad_field", body
+    assert client.request("GET", "/sessions")[1]["sessions"] == []
+
+
+_UNAPPLIABLE_EVENTS = {
+    "empty_name": {"kind": "insert", "name": "", "current_value": 1.0, "mean": 1.0, "std": 1.0},
+    "taken_name": {"kind": "insert", "name": "obj0", "current_value": 1.0, "mean": 1.0, "std": 1.0},
+    "float_index": {"kind": "reveal", "index": 1.7, "value": 9.0},
+    "bool_index": {"kind": "reveal", "index": True, "value": 9.0},
+    "string_index": {"kind": "reveal", "index": "3", "value": 9.0},
+    "word_index": {"kind": "cost_change", "index": "abc", "cost": 2.0},
+    "null_index": {"kind": "remove", "index": None},
+    "list_index": {"kind": "reveal", "index": [1], "value": 9.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNAPPLIABLE_EVENTS))
+def test_unappliable_event_is_refused_and_the_session_survives(case, tmp_path):
+    root = tmp_path / "svc"
+    with CleaningService(root).start_background() as service:
+        client = ServiceClient(service.url)
+        sid = _linear_session(client)["session"]
+        status, body = client.request(
+            "POST", f"/sessions/{sid}/events", body=_UNAPPLIABLE_EVENTS[case]
+        )
+        assert status == 400 and body["code"] == "bad_event", body
+        ack = client.ingest(sid, {"kind": "reveal", "index": 0, "value": 9.0})
+        assert ack["version"] == 1
+        client.close()
+    with CleaningService(root, resume=True).start_background() as service:
+        client = ServiceClient(service.url)
+        assert client.info(sid)["version"] == 1
+        client.close()
+
+
 def test_objects_slice(client):
     sid = _linear_session(client, n=25)["session"]
     status, body = client.request("GET", f"/sessions/{sid}/objects?start=20&count=10")

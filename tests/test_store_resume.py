@@ -27,7 +27,13 @@ from repro.streaming import (
     replay_journal,
     synthesize_journal,
 )
-from repro.streaming.events import event_to_dict
+from repro.streaming.events import (
+    CostChangeEvent,
+    InsertEvent,
+    RemoveEvent,
+    RevealEvent,
+    event_to_dict,
+)
 from repro.uncertainty.correlation import GaussianWorldModel
 from repro.uncertainty.database import UncertainDatabase
 
@@ -134,6 +140,40 @@ def test_durable_state_matches_uninterrupted_fingerprint(tmp_path):
             store, base.database, base.function, stream_id="s"
         )
         assert resumed.state_fingerprint() == reference.state_fingerprint()
+
+
+#: Events the planner can never apply, each built against the base database.
+_UNAPPLIABLE = {
+    "index_past_end": lambda db: RevealEvent(index=len(db), value=0.5),
+    "negative_index": lambda db: RevealEvent(index=-1, value=0.5),
+    "float_index": lambda db: RevealEvent(index=1.7, value=0.5),
+    "bool_index": lambda db: CostChangeEvent(index=True, cost=2.0),
+    "string_index": lambda db: RemoveEvent(index="3"),
+    "empty_name": lambda db: InsertEvent(name="", current_value=0.0, mean=0.0, std=1.0),
+    "taken_name": lambda db: InsertEvent(
+        name=db[0].name, current_value=0.0, mean=0.0, std=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNAPPLIABLE))
+def test_unappliable_event_is_refused_before_it_is_journaled(case, tmp_path):
+    # A journaled event that cannot be applied would fail every later event
+    # and every resume, so validation must refuse it while nothing is durable.
+    factory, journal = _track_setup("modular")
+    with PlanStore(tmp_path / "p.db") as store:
+        planner = factory()
+        planner.bind_store(store, stream_id="s", checkpoint_every=10)
+        with pytest.raises(ValueError):
+            planner.apply(_UNAPPLIABLE[case](planner.database))
+        assert store.event_count("s") == 0
+        planner.apply(journal.events[0])
+        assert planner.events_applied == 1
+        base = factory()
+        resumed = StreamingPlanner.resume(
+            store, base.database, base.function, stream_id="s"
+        )
+        assert resumed.state_fingerprint() == planner.state_fingerprint()
 
 
 def test_resume_rejects_diverged_journal(tmp_path):

@@ -1,4 +1,4 @@
-"""Structured-engine and stochastic-greedy equivalence suite (PR 6).
+"""Structured-engine equivalence suite.
 
 Contracts pinned here:
 
@@ -15,24 +15,16 @@ Contracts pinned here:
   ``submatrix``, the model's ``covariance``) raises
   :class:`StructureTooLargeError` instead of allocating; builder parameter
   abuse (bandwidth >= n, block_size > n, dead rho) raises ``ValueError``.
-* **Stochastic greedy is a bounded trade.**  With sample size
-  ``ceil((n/k) ln(1/eps))`` the sampled runs reach at least a
-  ``(1 - 1/e - eps)`` fraction of the eager objective on seeded workloads
-  (the Mirzasoleiman et al. guarantee holds in expectation; the seeds below
-  are pinned so the assertion is deterministic), and identically seeded
-  runs are byte-identical.
+* **Array-backed databases are drop-ins.**
+  :meth:`UncertainDatabase.from_normal_arrays` behaves like the
+  object-built constructor, conditioning overlays included.
 """
 
 import numpy as np
 import pytest
 
 from repro.claims.functions import LinearClaim
-from repro.core.greedy import (
-    GreedyDep,
-    GreedyMinVar,
-    expected_selection_steps,
-    stochastic_sample_size,
-)
+from repro.core.greedy import GreedyDep
 from repro.uncertainty.correlation import (
     GaussianWorldModel,
     banded_covariance,
@@ -249,90 +241,6 @@ class TestDenseMaterializationGuards:
             model.covariance
         # The structure-aware surfaces keep working at the same size.
         assert model.engine(np.ones(self.BIG), conditional=True).size == self.BIG
-
-
-class TestStochasticGreedy:
-    def test_sample_size_formula(self):
-        # ceil((n/k) * ln(1/eps)), floored at 1 and capped at n.
-        assert stochastic_sample_size(1000, 10, 0.1) == int(
-            np.ceil(1000 / 10 * np.log(1 / 0.1))
-        )
-        assert stochastic_sample_size(10, 10, 0.99) == 1
-        assert stochastic_sample_size(10, 1, 1e-9) == 10
-
-    def test_expected_selection_steps(self):
-        costs = np.array([2.0, 4.0, 6.0])
-        assert expected_selection_steps(costs, 8.0) == 2
-        assert expected_selection_steps(costs, 1e9) == 3  # capped at n
-        assert expected_selection_steps(costs, 0.0) == 1  # floored at 1
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_modular_objective_ratio(self, seed):
-        """Stochastic-greedy reaches (1 - 1/e - eps) of the eager objective.
-
-        Unit costs and a linear claim over independent errors make the
-        objective modular: the value of a selection is the sum of the
-        per-item variance reductions w_i^2 sigma_i^2.
-        """
-        rng = np.random.default_rng(seed)
-        n = 200
-        database = UncertainDatabase.from_normal_arrays(
-            rng.uniform(20, 80, n), rng.uniform(1, 10, n)
-        )
-        claim = _claim(rng, n)
-        weights = claim.weights(n)
-        per_item = weights**2 * database.stds**2
-        budget = 30.0
-        epsilon = 0.1
-        eager = GreedyMinVar(claim).select_indices(database, budget)
-        sampled = GreedyMinVar(
-            claim,
-            stochastic_epsilon=epsilon,
-            stochastic_rng=np.random.default_rng(seed + 1000),
-        ).select_indices(database, budget)
-        eager_value = float(per_item[eager].sum())
-        sampled_value = float(per_item[sampled].sum())
-        assert len(sampled) == len(eager)
-        assert sampled_value >= (1 - 1 / np.e - epsilon) * eager_value
-
-    @pytest.mark.parametrize("kind", STRUCTURES)
-    def test_dependency_stochastic_same_seed_is_deterministic(self, kind):
-        rng = np.random.default_rng(11)
-        database = _array_database(rng)
-        claim = _claim(rng, len(database))
-        structured_model, _ = _structure_pair(kind, rng, database)
-        budget = database.total_cost * 0.4
-
-        def run(seed):
-            return GreedyDep(
-                claim,
-                structured_model,
-                conditional=True,
-                stochastic_epsilon=0.2,
-                stochastic_rng=np.random.default_rng(seed),
-            ).select_indices(database, budget)
-
-        assert run(7) == run(7)
-        assert run(7)  # nonempty at this budget
-
-    def test_stochastic_disables_traces(self):
-        rng = np.random.default_rng(1)
-        database = _array_database(rng)
-        claim = _claim(rng, len(database))
-        solver = GreedyMinVar(
-            claim, stochastic_epsilon=0.1, stochastic_rng=np.random.default_rng(0)
-        )
-        assert solver.supports_trace is False
-        assert solver.sweep_with_trace is False
-        assert GreedyMinVar(claim).supports_trace is True
-
-    def test_stochastic_requires_rng(self):
-        claim = LinearClaim({0: 1.0})
-        with pytest.raises(ValueError, match="stochastic_rng"):
-            GreedyMinVar(claim, stochastic_epsilon=0.1)
-        model = GaussianWorldModel(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError, match="stochastic_rng"):
-            GreedyDep(claim, model, stochastic_epsilon=0.1)
 
 
 class TestArrayBackedDatabase:
