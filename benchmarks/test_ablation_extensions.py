@@ -31,7 +31,7 @@ def test_ablation_adaptive_vs_static_maxpr(benchmark, report):
 
     The Monte-Carlo side runs through :func:`run_adaptive_trials`: one rng
     draws all hidden worlds in a single stacked ``sample_worlds`` call and
-    the trials share the policy's singleton surprise kernel.
+    the trials share the policy's surprise-engine base.
     """
     database = generate_urx(n=24, seed=5)
     perturbations = window_sum_perturbations(

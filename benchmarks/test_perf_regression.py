@@ -370,9 +370,9 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     two ways:
 
     * the scratch loop (``greedy_select`` over the oracle benefit in
-      ``tests/oracles/policies.py``: one pseudo-inverse Schur complement per
-      candidate per step) — measured once, it is the slow baseline and
-      doubles as the eager benefit-evaluation count;
+      ``tests/oracles/policies.py``: one Schur complement, a Cholesky solve
+      against the cleaned block, per candidate per step) — measured once, it
+      is the slow baseline and doubles as the eager benefit-evaluation count;
     * the incremental engine (one rank-one downdate + one vectorized gains
       pass per step) — best-of-``DEP_REPEATS`` cold runs.
 

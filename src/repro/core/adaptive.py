@@ -43,8 +43,8 @@ stack down every step:
   for linear claims the Lemma 3.1 closed form degenerates to an O(1)
   per-step update of a contributions vector;
 * MaxPr scores every candidate at once through a
-  :class:`~repro.core.surprise.SingletonSurpriseKernel` (per-object drop
-  statistics precomputed once, one vectorized pass per step);
+  :class:`~repro.core.surprise.SurpriseEngine` at the empty prefix (per-object
+  drop statistics precomputed once, one vectorized pass per step);
 * the affordable-candidate set is a persistent boolean mask pruned in place
   (feasibility is monotone), not an O(n) list rebuild per step.
 
@@ -53,7 +53,7 @@ score (``ev_strategy`` ``"exact"``): it rebuilds a ``cleaned()`` database
 and calculator per step.  :func:`run_adaptive_trials` batches the Monte-Carlo
 ablation across trials: one rng draws every hidden world in a single stacked
 ``sample_worlds`` call and all trials share the policy's per-database
-precomputation (base calculator, memoized pieces, singleton kernel).
+precomputation (base calculator, memoized pieces, surprise-engine base).
 """
 
 from __future__ import annotations
@@ -70,7 +70,12 @@ from repro.core.expected_variance import (
     make_ev_calculator,
 )
 from repro.core.solver import Solver, register_solver
-from repro.core.surprise import SingletonSurpriseKernel, make_surprise_calculator
+from repro.core.surprise import (
+    SurpriseBase,
+    SurpriseEngine,
+    finite_tau,
+    make_surprise_calculator,
+)
 from repro.uncertainty.correlation import GaussianWorldModel
 from repro.uncertainty.database import UncertainDatabase
 
@@ -410,15 +415,17 @@ class AdaptiveMaxPr(_AdaptivePolicy):
     re-plans.  If the revealed values alone already meet the target the run
     stops — the counterargument is in hand and the remaining budget is saved.
 
-    The default path scores all candidates at once through a
-    :class:`~repro.core.surprise.SingletonSurpriseKernel` (precomputed
-    per-object drop statistics; only the required drop changes per step) and
-    keeps the working database as a reveal overlay; functions without a
-    batched singleton path fall back to a per-candidate calculator per step.
-    On all-normal databases the overlay keeps the Lemma 3.3 closed form for
-    the whole run, where a ``cleaned()`` rebuild would lose it after the
-    first reveal (the cleaned point mass makes the database mixed and forces
-    a per-step calculator onto the Monte-Carlo fallback).
+    Re-drawing one object moves a linear ``f`` by ``w_i (X_i - u_i)``, which
+    no other reveal changes, so the default path scores all candidates with
+    one :class:`~repro.core.surprise.SurpriseEngine` held at the empty prefix
+    (per-object drop statistics built once; only the required drop changes
+    per step) and keeps the working database as a reveal overlay.  Functions
+    and databases the engine does not serve fall back to a per-candidate
+    calculator per step.  On all-normal databases the engine keeps the
+    Lemma 3.3 closed form for the whole run, where a ``cleaned()`` rebuild
+    would lose it after the first reveal (the cleaned point mass makes the
+    database mixed and forces a per-step calculator onto the Monte-Carlo
+    fallback).  ``tau`` must be finite.
     """
 
     name = "AdaptiveMaxPr"
@@ -430,17 +437,23 @@ class AdaptiveMaxPr(_AdaptivePolicy):
         min_gain: float = 1e-12,
     ):
         self.function = function
-        self.tau = tau
+        self.tau = finite_tau(tau)
         self.min_gain = min_gain
-        self._prepared: Optional[Tuple[UncertainDatabase, SingletonSurpriseKernel]] = None
+        self._prepared: Optional[Tuple[UncertainDatabase, Optional[SurpriseEngine]]] = None
 
-    def _kernel_for(self, database: UncertainDatabase) -> SingletonSurpriseKernel:
+    def _engine_for(self, database: UncertainDatabase) -> Optional[SurpriseEngine]:
+        """The empty-prefix engine for ``database`` (None without an engine path).
+
+        Kept for the most recent database, so every trial of
+        :func:`run_adaptive_trials` shares one base.
+        """
         cached = self._prepared
         if cached is not None and cached[0] is database:
             return cached[1]
-        kernel = SingletonSurpriseKernel(database, self.function)
-        self._prepared = (database, kernel)
-        return kernel
+        base = SurpriseBase.build(database, self.function)
+        engine = SurpriseEngine(base) if base is not None else None
+        self._prepared = (database, engine)
+        return engine
 
     def run(
         self,
@@ -453,7 +466,7 @@ class AdaptiveMaxPr(_AdaptivePolicy):
         target = baseline - self.tau
         n = len(database)
         costs = database.costs
-        kernel = self._kernel_for(database)
+        engine = self._engine_for(database)
         working = database
         run = AdaptiveRun()
         spent = 0.0
@@ -478,8 +491,8 @@ class AdaptiveMaxPr(_AdaptivePolicy):
             # Express the original target as the drop still required from the
             # current (partially revealed) state.
             required_drop = max(current_value - target, 0.0)
-            if kernel.supported:
-                scores = kernel.scores(required_drop)
+            if engine is not None:
+                scores = engine.probabilities(required_drop)
             else:
                 calculator = make_surprise_calculator(
                     working, self.function, tau=required_drop
@@ -665,9 +678,10 @@ def run_adaptive_trials(
     ``sample_worlds`` call (one vectorized draw per object column instead of
     ``trials * n`` scalar draws) and every trial replays against the same base
     database, so the policy's per-database precomputation — the decomposed
-    base calculator with its standalone gains, the singleton surprise kernel —
-    is built once and shared; pieces memoized by one trial's conditioned
-    calculators are reused by every later trial that visits them.  Pass
+    base calculator with its standalone gains, the surprise engine's
+    per-object drop arrays — is built once and shared; pieces memoized by
+    one trial's conditioned calculators are reused by every later trial that
+    visits them.  Pass
     ``truths`` (shape ``(trials, n)``) to pin the hidden worlds explicitly;
     otherwise ``rng`` (default seed 0) draws them.
     """

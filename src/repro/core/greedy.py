@@ -47,7 +47,13 @@ from repro.core.solver import (
     SelectionTrace,
     register_solver,
 )
-from repro.core.surprise import make_surprise_calculator
+from repro.core.surprise import (
+    SurpriseBase,
+    SurpriseEngine,
+    check_surprise_options,
+    finite_tau,
+    make_surprise_calculator,
+)
 from repro.uncertainty.correlation import ConditionalGaussian, GaussianWorldModel
 from repro.uncertainty.database import UncertainDatabase
 
@@ -63,7 +69,13 @@ __all__ = [
 
 BenefitFunction = Callable[[Sequence[int], int], float]
 
-_EMPTY_SET: frozenset = frozenset()
+#: MaxPr stops once the best-ratio gain is at most this.  A saturated
+#: probability summed in another order can differ by ~1e-14, so a smaller
+#: threshold could let rounding noise buy zero-value picks.
+MAXPR_MIN_GAIN = 1e-12
+#: Per-database cache key of GreedyMaxPr's engine arrays; the per-set path
+#: keys its cache by frozenset, so the two cannot collide.
+_ENGINE_BASE = "surprise_base"
 
 
 def greedy_select(
@@ -97,9 +109,9 @@ def greedy_select(
         work rather than n Python-level benefit calls when
         ``static_benefits`` is supplied.
     stop_when_no_gain:
-        Stop as soon as the best available benefit is not positive.  Used by
-        GreedyMaxPr, where cleaning more objects can reduce the objective
-        (Figure 12's plateau).
+        Stop as soon as the best-ratio candidate's benefit is at most
+        ``MAXPR_MIN_GAIN`` (1e-12).  Used by GreedyMaxPr, where cleaning more
+        objects can reduce the objective (Figure 12's plateau).
     use_cost_ratio:
         Rank candidates by ``benefit / cost``; when False rank by raw benefit
         (the cost-blind baseline).
@@ -162,7 +174,7 @@ def greedy_select(
             best = int(max(candidates, key=lambda i: score(int(i), selected)))
             if need_gain:
                 gain = benefit(selected, best)
-                if stop_when_no_gain and gain <= 1e-15:
+                if stop_when_no_gain and gain <= MAXPR_MIN_GAIN:
                     break
                 record(best, gain)
             selected.append(best)
@@ -622,16 +634,30 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
     """Objective-aware greedy for MaxPr.
 
     The benefit of cleaning object ``i`` given ``T`` is the increase in the
-    probability of finding a counterargument.  Selection stops early when no
-    candidate increases the probability (cleaning more would only hurt, the
-    behaviour Figure 12 documents).
+    probability of finding a counterargument.  Selection stops once the
+    best-ratio candidate gains at most ``1e-12`` (cleaning more would only
+    hurt, the behaviour Figure 12 documents; below that a gain is summation
+    noise on a saturated probability).
 
-    Evaluated-set probabilities are cached per database *identity* (a weakly
-    keyed dict per database object), so budget sweeps reuse every
-    already-evaluated set instead of recomputing it per budget, and results
-    computed for one database can never leak into another even when callers
-    forget the manual reset.  :meth:`reset_cache` remains as the explicit
-    reset point that keeps long-lived solvers from accumulating caches.
+    A linear ``f`` on an all-discrete database (``method`` ``"auto"`` or
+    ``"convolution"``) or an all-normal one (``"auto"`` or ``"normal"``)
+    runs on a :class:`~repro.core.surprise.SurpriseEngine`: each step scores
+    every candidate against the selected prefix in one vectorized pass, and
+    a pick costs at most one support merge.  Everything else — non-linear claims,
+    mixed databases, ``"exact"`` and ``"monte_carlo"`` — runs
+    :func:`greedy_select` over the per-set calculator of
+    :func:`~repro.core.surprise.make_surprise_calculator`.
+
+    Both paths cache per database *identity* (a weakly keyed dict per
+    database object): the engine's per-database arrays, or the per-set path's
+    evaluated-set probabilities, so budget sweeps and trace resumes reuse
+    them and results computed for one database never leak into another.
+    :meth:`reset_cache` remains as the explicit reset point that keeps
+    long-lived solvers from accumulating caches.
+
+    ``tau`` must be finite, ``method`` one of ``"auto"``, ``"normal"``,
+    ``"convolution"``, ``"exact"``, ``"monte_carlo"``, and
+    ``monte_carlo_samples`` an integer >= 1; the constructor checks all three.
     """
 
     name = "GreedyMaxPr"
@@ -644,8 +670,9 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
         monte_carlo_samples: int = 4000,
         method: str = "auto",
     ):
+        check_surprise_options(method, monte_carlo_samples)
         self.function = function
-        self.tau = tau
+        self.tau = finite_tau(tau)
         self.rng = rng
         self.monte_carlo_samples = monte_carlo_samples
         self.method = method
@@ -658,6 +685,77 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
         initial_selection: Optional[Sequence[int]] = None,
         record_steps: Optional[List[SelectionStep]] = None,
     ) -> List[int]:
+        """Algorithm 1 on the surprise engine, or on the per-set calculator.
+
+        Per engine round: one vectorized pass scores every candidate against
+        the prefix, one argmax over the gain/cost ratios picks (first index
+        on ties), and the pick is merged into the prefix.  A warm start
+        replays the prefix through the engine and continues the same loop.
+        """
+        cache = self._cache_for(database)
+        if _ENGINE_BASE not in cache:
+            cache[_ENGINE_BASE] = SurpriseBase.build(database, self.function, self.method)
+        base = cache[_ENGINE_BASE]
+        if base is None:
+            return self._run_per_set(database, budget, cache, initial_selection, record_steps)
+
+        n = len(database)
+        costs = database.costs
+        tau = self.tau
+        engine = SurpriseEngine(base)
+        # Empty-prefix probabilities double as the single-item safeguard inputs.
+        standalone = engine.probabilities(tau)
+        selected: List[int] = [int(i) for i in initial_selection] if initial_selection else []
+        for index in selected:
+            engine.condition_on(index)
+        scores = engine.probabilities(tau) if selected else standalone
+        feasible = np.ones(n, dtype=bool)
+        if selected:
+            feasible[selected] = False
+        spent = float(costs[selected].sum()) if selected else 0.0
+        while True:
+            feasible &= (spent + costs) <= budget + 1e-9
+            if not feasible.any():
+                break
+            gains = scores - engine.probability(tau)
+            best = int(np.argmax(np.where(feasible, gains / costs, -np.inf)))
+            gain = float(gains[best])
+            if gain <= MAXPR_MIN_GAIN:
+                break
+            if record_steps is not None:
+                record_steps.append(
+                    SelectionStep(
+                        best, float(costs[best]), gain, float(budget - (spent + costs[best]))
+                    )
+                )
+            selected.append(best)
+            feasible[best] = False
+            spent += costs[best]
+            engine.condition_on(best)
+            scores = engine.probabilities(tau)
+
+        # Single-item safeguard (lines 5-8 of Algorithm 1), standalone probabilities.
+        remaining_mask = costs <= budget + 1e-9
+        if selected:
+            remaining_mask[selected] = False
+        if remaining_mask.any():
+            best_single = int(np.argmax(np.where(remaining_mask, standalone, -np.inf)))
+            # A left fold in pick order, like greedy_select's, so a tie with
+            # the best single object breaks the same way on both paths.
+            chosen_total = sum(float(standalone[i]) for i in selected)
+            if standalone[best_single] > chosen_total:
+                return [best_single]
+        return selected
+
+    def _run_per_set(
+        self,
+        database: UncertainDatabase,
+        budget: float,
+        cache: dict,
+        initial_selection: Optional[Sequence[int]] = None,
+        record_steps: Optional[List[SelectionStep]] = None,
+    ) -> List[int]:
+        """:func:`greedy_select` with every evaluated set's probability memoized."""
         probability = make_surprise_calculator(
             database,
             self.function,
@@ -666,7 +764,6 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
             monte_carlo_samples=self.monte_carlo_samples,
             method=self.method,
         )
-        cache = self._cache_for(database)
 
         def pr(indices: Tuple[int, ...]) -> float:
             key = frozenset(indices)

@@ -18,10 +18,20 @@ Strategies:
   functions with independent normal errors (Lemma 3.3):
   ``Phi((-tau - shift) / sqrt(sum_{i in T} a_i^2 sigma_i^2))`` where ``shift``
   accounts for error models not centered at the current values.
+* :func:`surprise_probability_discrete_linear` — exact drop distribution of a
+  linear ``f`` over discrete errors by support convolution.
+
+These per-set calculators score one cleaning set per call.  The greedy and
+adaptive MaxPr loops instead run on a :class:`SurpriseEngine`: it keeps the
+selected prefix's drop distribution and scores *every* candidate against it
+in one vectorized pass, so a run pays one convolution per pick rather than
+one per candidate per pick.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -38,11 +48,23 @@ __all__ = [
     "surprise_probability_normal_linear",
     "surprise_probability_discrete_linear",
     "make_surprise_calculator",
-    "SingletonSurpriseKernel",
+    "SurpriseBase",
+    "SurpriseEngine",
 ]
 
 
 _EXACT_BATCH_ROWS = 4096  # rows per batched block: bounds the (rows, n) matrix
+
+#: Above this many joint outcomes (the product of the cleaned objects'
+#: support sizes) the discrete drop distribution is replaced by its
+#: central-limit closed form.
+MAX_EXACT_OUTCOMES = 200_000
+#: A drop counts only when it clears ``-tau`` by this margin, so outcomes
+#: that land on the threshold up to rounding are not counted.
+_DROP_MARGIN = 1e-12
+
+#: The ``method`` values :func:`make_surprise_calculator` accepts.
+SURPRISE_METHODS = ("auto", "normal", "convolution", "exact", "monte_carlo")
 
 
 def surprise_probability_exact(
@@ -78,7 +100,7 @@ def surprise_probability_exact(
         matrix = np.tile(current, (block.shape[0], 1))
         matrix[:, relevant] = block
         results = function.evaluate_batch(matrix)
-        probability += float(block_probs[results < target - 1e-12].sum())
+        probability += float(block_probs[results < target - _DROP_MARGIN].sum())
     return float(probability)
 
 
@@ -108,7 +130,7 @@ def surprise_probability_monte_carlo(
     for index in cleaned_set:
         matrix[:, index] = database[index].sample(rng, size=samples)
     results = function.evaluate_batch(matrix)
-    return float(np.count_nonzero(results < target - 1e-12)) / samples
+    return float(np.count_nonzero(results < target - _DROP_MARGIN)) / samples
 
 
 def surprise_probability_normal_linear(
@@ -155,7 +177,7 @@ def surprise_probability_discrete_linear(
     weights: Sequence[float],
     cleaned: Iterable[int],
     tau: float = 0.0,
-    max_exact_outcomes: int = 200_000,
+    max_exact_outcomes: int = MAX_EXACT_OUTCOMES,
 ) -> float:
     """MaxPr objective for a linear ``f`` over independent discrete errors.
 
@@ -200,6 +222,8 @@ def surprise_probability_discrete_linear(
             return 1.0 if mean_shift < -tau else 0.0
         return float(stats.norm.cdf((-tau - mean_shift) / np.sqrt(variance)))
 
+    # A merged support never outgrows the product of the support sizes,
+    # which the check above already bounds.
     drops = np.zeros(1, dtype=float)
     masses = np.ones(1, dtype=float)
     for obj, distribution, weight in relevant:
@@ -209,106 +233,219 @@ def surprise_probability_discrete_linear(
             weight * (distribution.values - obj.current_value),
             distribution.probabilities,
         )
-        if drops.size > max_exact_outcomes:
-            # The merged support still blew up (irregular values); restart with
-            # the central-limit fallback rather than grinding on.
-            mean_shift = sum(w * (d.mean - o.current_value) for o, d, w in relevant)
-            variance = sum((w**2) * d.variance for o, d, w in relevant)
-            if variance <= 0.0:
-                return 1.0 if mean_shift < -tau else 0.0
-            return float(stats.norm.cdf((-tau - mean_shift) / np.sqrt(variance)))
 
-    return float(masses[drops < -tau - 1e-12].sum())
+    return float(masses[drops < -tau - _DROP_MARGIN].sum())
 
 
-class SingletonSurpriseKernel:
-    """Batched ``Pr[f drops by > tau | clean {i}]`` for every object at once.
+class SurpriseBase:
+    """The per-database arrays a :class:`SurpriseEngine` scores from.
 
-    The adaptive MaxPr policy needs, at every step, the singleton surprise
-    probability of each affordable candidate *relative to the working
-    database's current values*.  Re-drawing a single object ``i`` changes a
-    linear ``f`` by ``w_i (X_i - u_i)`` — a per-object quantity that does not
-    depend on any other object's value, and (crucially) does not change when
-    *other* objects are revealed.  The kernel therefore precomputes the
-    per-object drop statistics once against the base database and answers
-    every later step with one vectorized pass; only the drop threshold
-    ``tau`` varies, and revealed objects simply stop being candidates.
+    For a linear ``f`` with weights ``w``, re-drawing object ``i`` moves
+    ``f`` by ``w_i (X_i - u_i)``.  The base stores, per object, the moments of
+    that drop — ``shift_i = w_i (mu_i - u_i)`` and ``var_i = w_i^2
+    sigma_i^2`` — and, for discrete models, its support ``w_i (v - u_i)``
+    in ascending order, flattened into one array with the masses, each
+    entry's owning object, the segment offsets and the support sizes.  It
+    holds arrays only, never the database, so a weakly keyed per-database
+    cache can keep it without pinning its key.
 
-    Paths (mirroring :func:`make_surprise_calculator`'s preference order):
-
-    * linear ``f`` + all-normal database — Lemma 3.3 closed form, one
-      vectorized ``Phi`` over all candidates.  Note this stays exact for the
-      whole adaptive run, whereas the teardown path loses the closed form
-      after the first reveal (a cleaned object makes the database mixed and
-      forces the Monte-Carlo fallback).
-    * linear ``f`` + all-discrete database — per-object drop supports
-      flattened into one array; each query is a vectorized comparison plus a
-      segment sum (``np.add.reduceat``).
-    * anything else — :attr:`supported` is False and callers fall back to a
-      per-candidate calculator.
-
-    ``tau`` is expected to be nonnegative (the adaptive policy clamps the
-    required drop at zero), matching the scalar calculators' conventions.
+    Build one with :meth:`build`, which returns None when no engine path
+    serves the function/database/method combination.
     """
 
-    def __init__(self, database: UncertainDatabase, function: ClaimFunction):
-        self.database = database
-        self.function = function
-        self.mode: Optional[str] = None
-        n = len(database)
-        if not function.is_linear():
+    def __init__(self, database: UncertainDatabase, weights: np.ndarray, mode: str):
+        self.mode = mode
+        current = database.current_values
+        self.shift = weights * (database.means - current)
+        self.variance = (weights**2) * database.variances
+        self.zero_weight = weights == 0.0
+        if mode != "discrete":
             return
-        weights = function.weights(n)
-        self._weights = weights
-        if database.all_normal():
-            self.mode = "normal"
-            self._shift = weights * (database.means - database.current_values)
-            self._sd = np.abs(weights) * database.stds
-        elif database.all_discrete():
-            self.mode = "discrete"
-            drops: list = []
-            masses: list = []
-            lengths = np.empty(n, dtype=np.intp)
-            current = database.current_values
-            for i in range(n):
-                distribution = database[i].distribution
-                drops.append(weights[i] * (distribution.values - current[i]))
-                masses.append(distribution.probabilities)
-                lengths[i] = distribution.values.size
-            self._drops = np.concatenate(drops)
-            self._masses = np.concatenate(masses)
-            offsets = np.zeros(n, dtype=np.intp)
-            np.cumsum(lengths[:-1], out=offsets[1:])
-            self._offsets = offsets
+        n = len(database)
+        drops: list = []
+        masses: list = []
+        sizes = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            distribution = database[i].distribution
+            support = weights[i] * (distribution.values - current[i])
+            # Ascending drops: the order the per-set calculator sums a
+            # singleton's mass in (see SurpriseEngine.probabilities).
+            order = np.argsort(support, kind="stable")
+            drops.append(support[order])
+            masses.append(distribution.probabilities[order])
+            sizes[i] = support.size
+        self.drops = np.concatenate(drops)
+        self.masses = np.concatenate(masses)
+        self.sizes = sizes
+        self.owners = np.repeat(np.arange(n), sizes)
+        self.offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
 
-    @property
-    def supported(self) -> bool:
-        """True when a batched singleton path exists for this function/database."""
-        return self.mode is not None
+    @classmethod
+    def build(
+        cls, database: UncertainDatabase, function: ClaimFunction, method: str = "auto"
+    ) -> Optional["SurpriseBase"]:
+        """The base for a linear ``f`` on an all-normal or all-discrete database.
 
-    def scores(self, tau: float) -> np.ndarray:
-        """Vector of ``Pr[w_i (X_i - u_i) < -tau]`` for every object ``i``.
-
-        Entries agree with the scalar calculators candidate by candidate:
-        the normal path mirrors :func:`surprise_probability_normal_linear`
-        (including the zero-variance tie convention) and the discrete path
-        mirrors :func:`surprise_probability_discrete_linear` restricted to a
-        single cleaned object.  Entries for already-revealed objects are
-        meaningless by construction (they are never candidates again).
+        ``method`` ``"auto"``/``"normal"`` takes the closed form on an
+        all-normal database and ``"auto"``/``"convolution"`` the exact drop
+        distribution on an all-discrete one — the routing of
+        :func:`make_surprise_calculator`.  Anything else returns None.
         """
-        if self.mode == "normal":
-            # Phi((-tau - shift) / sd) with the sd <= 0 indicator
-            # convention of the scalar calculators.
-            return np.asarray(
-                kernels.normal_surprise_scores(self._shift, self._sd, tau),
-                dtype=float,
+        if not function.is_linear():
+            return None
+        if method in ("auto", "normal") and database.all_normal():
+            mode = "normal"
+        elif method in ("auto", "convolution") and database.all_discrete():
+            mode = "discrete"
+        else:
+            return None
+        return cls(database, function.weights(len(database)), mode)
+
+
+class SurpriseEngine:
+    """``Pr[D_{S+i} < -tau]`` for every object ``i`` against a selected prefix ``S``.
+
+    ``D_S = sum_{j in S} w_j (X_j - u_j)`` is how far a linear ``f`` moves
+    when the prefix is re-drawn.  The engine keeps ``D_S`` and answers
+    :meth:`probabilities` for every candidate at once:
+
+    * discrete models keep ``D_S``'s pmf as sorted drops plus cumulative
+      mass, so candidate ``i`` scores
+      ``sum_m p_im * Pr[D_S < -tau - 1e-12 - d_im]`` — one ``searchsorted``
+      and one per-object segment sum over the flattened supports, costing
+      O(sum |supp| * log |pmf_S|) per pass;
+    * normal models keep the ``(shift, variance)`` sums, so every candidate
+      is one Lemma 3.3 closed form in a single
+      :func:`repro.kernels.normal_surprise_scores` call.
+
+    :meth:`condition_on` adds one object to the prefix with one
+    :func:`repro.kernels.convolve_support` merge.  The central-limit switch
+    is :func:`surprise_probability_discrete_linear`'s: a candidate whose
+    support-size product with the prefix exceeds ``MAX_EXACT_OUTCOMES`` is
+    scored by the closed form on the summed moments, and once the prefix
+    itself exceeds it the engine stops merging.
+
+    Each mode keeps its per-set calculator's conventions, which are also
+    the engine's test reference: the discrete path drops zero-weight
+    objects (a set of them scores 0), the normal path counts them (a
+    zero-variance set scores the indicator ``shift < -tau``, which is 1 for
+    ``tau < 0``), and the empty set scores 0.  Entries of
+    :meth:`probabilities` for objects already in the prefix carry no
+    meaning.
+    """
+
+    def __init__(self, base: SurpriseBase):
+        self.base = base
+        self._size = 0
+        self._shift = 0.0
+        self._variance = 0.0
+        # Discrete state: the nonzero-weight objects merged so far and the
+        # product of their support sizes, then D_S's pmf (sorted drops, their
+        # masses and the cumulative mass with a leading 0).  The pmf is None
+        # once the prefix is past the exact-outcome cap.
+        self._relevant = 0
+        self._outcomes = 1
+        self._drops: Optional[np.ndarray] = np.zeros(1)
+        self._masses = np.ones(1)
+        self._cumulative = np.array([0.0, 1.0])
+
+    def condition_on(self, index: int) -> None:
+        """Add object ``index`` to the prefix (at most one support merge)."""
+        base = self.base
+        self._size += 1
+        self._shift += float(base.shift[index])
+        self._variance += float(base.variance[index])
+        if base.mode != "discrete" or base.zero_weight[index]:
+            return
+        self._relevant += 1
+        if self._drops is None:
+            return
+        self._outcomes *= int(base.sizes[index])
+        if self._outcomes > MAX_EXACT_OUTCOMES:
+            self._drops = self._masses = self._cumulative = None
+            return
+        start = base.offsets[index]
+        stop = start + base.sizes[index]
+        self._drops, self._masses = kernels.convolve_support(
+            self._drops, self._masses, base.drops[start:stop], base.masses[start:stop]
+        )
+        self._cumulative = np.concatenate(([0.0], np.cumsum(self._masses)))
+
+    @staticmethod
+    def _closed_form(shifts: np.ndarray, variances: np.ndarray, tau: float) -> np.ndarray:
+        return np.asarray(
+            kernels.normal_surprise_scores(shifts, np.sqrt(variances), tau), dtype=float
+        )
+
+    def probability(self, tau: float) -> float:
+        """``Pr[D_S < -tau]`` for the prefix itself (0 for the empty set)."""
+        if self.base.mode == "normal" and self._size == 0:
+            return 0.0
+        if self.base.mode == "discrete":
+            if self._relevant == 0:
+                return 0.0
+            if self._drops is not None:
+                position = np.searchsorted(self._drops, -tau - _DROP_MARGIN, side="left")
+                return float(self._cumulative[position])
+        return float(
+            self._closed_form(np.array([self._shift]), np.array([self._variance]), tau)[0]
+        )
+
+    def probabilities(self, tau: float) -> np.ndarray:
+        """``Pr[D_{S+i} < -tau]`` for every object ``i``, in one pass."""
+        base = self.base
+        if base.mode == "normal":
+            return self._closed_form(self._shift + base.shift, self._variance + base.variance, tau)
+        n = base.sizes.size
+        moving = ~base.zero_weight
+        if self._drops is not None:
+            positions = np.searchsorted(
+                self._drops, (-tau - _DROP_MARGIN) - base.drops, side="left"
             )
-        if self.mode == "discrete":
-            hit_mass = np.where(self._drops < -tau - 1e-12, self._masses, 0.0)
-            return np.add.reduceat(hit_mass, self._offsets)
-        raise TypeError(
-            "no batched singleton path for this function/database combination; "
-            "check .supported and fall back to a per-candidate calculator"
+            # bincount adds each object's terms left to right from 0, so at
+            # the empty prefix a score is the per-set calculator's own sum
+            # (for supports under 8 points, where numpy's sum is sequential)
+            # and the single-item safeguard breaks exact ties the same way.
+            scores = np.bincount(
+                base.owners, weights=base.masses * self._cumulative[positions], minlength=n
+            )
+            central = moving & (self._outcomes * base.sizes > MAX_EXACT_OUTCOMES)
+        else:
+            scores = np.empty(n)
+            central = moving
+        if central.any():
+            scores[central] = self._closed_form(
+                self._shift + base.shift[central], self._variance + base.variance[central], tau
+            )
+        if not moving.all():
+            # A zero-weight object cannot move f: cleaning it adds nothing.
+            scores[~moving] = self.probability(tau)
+        return scores
+
+
+def finite_tau(tau: float) -> float:
+    """``tau`` as a float; NaN or an infinity raises ``ValueError``.
+
+    A NaN threshold makes every comparison false, so a MaxPr run would
+    silently select nothing.
+    """
+    value = float(tau)
+    if not math.isfinite(value):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+    return value
+
+
+def check_surprise_options(method: str, monte_carlo_samples: int) -> None:
+    """Reject an unknown ``method`` or a sample count that is not an integer >= 1."""
+    if method not in SURPRISE_METHODS:
+        raise ValueError(f"method must be one of {list(SURPRISE_METHODS)}, got {method!r}")
+    if (
+        isinstance(monte_carlo_samples, bool)
+        or not isinstance(monte_carlo_samples, numbers.Integral)
+        or monte_carlo_samples < 1
+    ):
+        raise ValueError(
+            f"monte_carlo_samples must be an integer >= 1, got {monte_carlo_samples!r}"
         )
 
 
@@ -326,12 +463,19 @@ def make_surprise_calculator(
     ``"exact"``, ``"monte_carlo"``.  The automatic preference order is:
     closed form (linear + all-normal database), convolution (linear +
     all-discrete), exact enumeration (all-discrete), Monte-Carlo fallback.
+    An explicit method the function or database cannot serve raises
+    ``ValueError`` rather than quietly sampling.
     """
-    valid = {"auto", "normal", "convolution", "exact", "monte_carlo"}
-    if method not in valid:
-        raise ValueError(f"method must be one of {sorted(valid)}")
+    check_surprise_options(method, monte_carlo_samples)
+    linear = function.is_linear()
+    if method == "normal" and not (linear and database.all_normal()):
+        raise ValueError("method='normal' needs a linear f and an all-normal database")
+    if method == "convolution" and not (linear and database.all_discrete()):
+        raise ValueError("method='convolution' needs a linear f and an all-discrete database")
+    if method == "exact" and not database.all_discrete():
+        raise ValueError("method='exact' needs an all-discrete database")
 
-    if method in {"auto", "normal"} and function.is_linear() and database.all_normal():
+    if method in {"auto", "normal"} and linear and database.all_normal():
         weights = function.weights(len(database))
 
         def normal_pr(cleaned: Iterable[int]) -> float:
@@ -339,7 +483,7 @@ def make_surprise_calculator(
 
         return normal_pr
 
-    if method in {"auto", "convolution"} and function.is_linear() and database.all_discrete():
+    if method in {"auto", "convolution"} and linear and database.all_discrete():
         weights = function.weights(len(database))
 
         def convolution_pr(cleaned: Iterable[int]) -> float:

@@ -40,6 +40,7 @@ the summary tables.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -502,7 +503,7 @@ class ScenarioMatrix:
     :func:`cell_seed`.  ``max_workers`` (int or ``"auto"``) shards the
     workloads across a process pool when it resolves to two or more workers
     (see the module docstring); ``None`` runs serially.  ``tau`` is the MaxPr
-    drop threshold.
+    drop threshold and must be finite.
     """
 
     def __init__(
@@ -543,6 +544,9 @@ class ScenarioMatrix:
         self.n = n
         self.seed = int(seed)
         self.tau = float(tau)
+        if not math.isfinite(self.tau):
+            # A NaN threshold would write every MaxPr cell with no pick.
+            raise ValueError(f"tau must be finite, got {tau!r}")
         self.max_workers = max_workers
 
     def _build_solvers(self, workload: Workload) -> Tuple[Dict[str, object], List[dict]]:

@@ -2,10 +2,14 @@
 
 Every hot numeric loop in the engines lives here instead of inline: the
 dense and banded rank-one downdates of the Gaussian conditioning engines,
-the discrete-sum convolution step, the batched normal-tail surprise scores
-and the two vectorized gains passes.  Engines call them through the module
+the discrete-sum convolution step (one per pick in the MaxPr surprise
+engine, and the weighted-sum pmf of the expected-variance path), the batched
+normal-tail surprise scores (one call per surprise-engine scoring pass) and
+the two vectorized gains passes.  Engines call them through the module
 (``kernels.outer_downdate(...)``, never ``from repro.kernels import ...``),
-so a profiler that wraps the module attributes reaches every call.
+so a profiler that wraps the module attributes reaches every call;
+``tests/test_perfbench_contract.py`` fails an engine path that stops doing
+so.
 
 The scalar reference loops the kernels are tested against live in
 ``tests/oracles/kernels.py``.  The scipy import for the normal CDF happens

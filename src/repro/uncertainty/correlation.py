@@ -611,7 +611,7 @@ class GaussianWorldModel:
         ``j`` already cleaned, of ``cleaned`` alone).  The quadratic form over
         ``S + {j}`` decomposes as ``var_S + 2 w_j (Sigma[:, S] w_S)_j +
         w_j^2 Sigma_jj``, so one matrix-vector product scores all candidates —
-        the correlated analogue of the PR 3 singleton surprise kernel.
+        the correlated analogue of :class:`~repro.core.surprise.SurpriseEngine`.
         Degenerate variances fall back to the scratch path's indicator.
         """
         from scipy import stats

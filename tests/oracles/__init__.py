@@ -10,8 +10,9 @@ ground truth that shares no machinery with the fast path:
   entropy by per-world enumeration;
 * :mod:`oracles.knapsack` — the knapsack dynamic programs with per-capacity
   Python loops;
-* :mod:`oracles.policies` — GreedyDep, AdaptiveDep and AdaptiveMaxPr with
-  every candidate re-scored from scratch each step;
+* :mod:`oracles.policies` — GreedyDep, GreedyMaxPr, AdaptiveDep and
+  AdaptiveMaxPr with every candidate re-scored from scratch each step, and
+  GreedyMaxPr's per-set ``greedy_select`` loop;
 * :mod:`oracles.sweeps` — the budget sweep as one independent solve per
   budget.
 """

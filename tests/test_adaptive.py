@@ -134,6 +134,12 @@ class TestAdaptiveMaxPr:
         )
         assert adaptive_run.total_cost <= static_plan.cost + 1e-9
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_tau_must_be_finite(self, tau):
+        # A NaN target used to end every run at once with nothing cleaned.
+        with pytest.raises(ValueError, match="tau"):
+            AdaptiveMaxPr(LinearClaim.from_vector([1.0, 1.0, 1.0]), tau=tau)
+
     def test_nonlinear_function_supported(self):
         db = small_db()
         indicator = ThresholdClaim(SumClaim([0, 1, 2]), threshold=55.0, op=">=")

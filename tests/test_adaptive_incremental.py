@@ -2,8 +2,8 @@
 
 Pins the incremental conditioning engine — reveal overlays
 (:meth:`UncertainDatabase.conditioned`), condition-chained
-:class:`DecomposedEVCalculator` updates, the batched
-:class:`SingletonSurpriseKernel`, and the adaptive policies — to
+:class:`DecomposedEVCalculator` updates, the
+:class:`SurpriseEngine` at the empty prefix, and the adaptive policies — to
 from-scratch ``cleaned()`` rebuilds, step for step, over randomized
 workloads at fixed seeds.  AdaptiveMinVar's reference is its own
 exact-strategy teardown loop (which rebuilds the calculator every step);
@@ -29,7 +29,8 @@ from repro.core.adaptive import (
 )
 from repro.core.expected_variance import DecomposedEVCalculator
 from repro.core.surprise import (
-    SingletonSurpriseKernel,
+    SurpriseBase,
+    SurpriseEngine,
     surprise_probability_discrete_linear,
     surprise_probability_normal_linear,
 )
@@ -218,17 +219,19 @@ class TestConditionedCalculator:
                 assert child._variance_cache[k] is entries  # shared, not copied
 
 
-class TestSingletonSurpriseKernel:
+class TestSurpriseEngineEmptyPrefix:
+    """The engine at the empty prefix: AdaptiveMaxPr's singleton scores."""
+
     def test_discrete_linear_matches_scalar(self):
         rng = np.random.default_rng(8)
         n = 12
         db = random_discrete_db(rng, n)
         weights = rng.uniform(-2.0, 2.0, size=n)
         claim = LinearClaim.from_vector(weights)
-        kernel = SingletonSurpriseKernel(db, claim)
-        assert kernel.supported and kernel.mode == "discrete"
+        engine = SurpriseEngine(SurpriseBase.build(db, claim))
+        assert engine.base.mode == "discrete"
         for tau in (0.0, 1.0, 7.5):
-            scores = kernel.scores(tau)
+            scores = engine.probabilities(tau)
             for i in range(n):
                 expected = surprise_probability_discrete_linear(db, weights, [i], tau=tau)
                 assert scores[i] == pytest.approx(expected, abs=ATOL)
@@ -239,10 +242,10 @@ class TestSingletonSurpriseKernel:
         db = random_normal_db(rng, n)
         weights = rng.uniform(-2.0, 2.0, size=n)
         claim = LinearClaim.from_vector(weights)
-        kernel = SingletonSurpriseKernel(db, claim)
-        assert kernel.supported and kernel.mode == "normal"
+        engine = SurpriseEngine(SurpriseBase.build(db, claim))
+        assert engine.base.mode == "normal"
         for tau in (0.0, 2.0):
-            scores = kernel.scores(tau)
+            scores = engine.probabilities(tau)
             for i in range(n):
                 expected = surprise_probability_normal_linear(db, weights, [i], tau=tau)
                 assert scores[i] == pytest.approx(expected, abs=ATOL)
@@ -254,19 +257,16 @@ class TestSingletonSurpriseKernel:
                 UncertainObject("b", 5.0, DiscreteDistribution.point_mass(5.0)),
             ]
         )
-        kernel = SingletonSurpriseKernel(db, LinearClaim({0: 0.0, 1: 1.0}))
-        scores = kernel.scores(0.0)
+        engine = SurpriseEngine(SurpriseBase.build(db, LinearClaim({0: 0.0, 1: 1.0})))
+        scores = engine.probabilities(0.0)
         assert scores[0] == 0.0  # zero weight: cleaning cannot move f
         assert scores[1] == 0.0  # point mass: no drop possible
 
-    def test_unsupported_without_linear_structure(self):
+    def test_no_base_without_linear_structure(self):
         rng = np.random.default_rng(10)
         db = random_discrete_db(rng, 4)
         indicator = ThresholdClaim(SumClaim([0, 1, 2, 3]), threshold=50.0, op=">=")
-        kernel = SingletonSurpriseKernel(db, indicator)
-        assert not kernel.supported
-        with pytest.raises(TypeError):
-            kernel.scores(0.0)
+        assert SurpriseBase.build(db, indicator) is None
 
 
 class TestAdaptiveRunEquivalence:

@@ -251,6 +251,26 @@ class TestGreedyMaxPr:
         ]
         assert achieved >= max(singles) - 1e-9
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_tau_must_be_finite(self, tau):
+        # A NaN threshold used to make every comparison false: no picks.
+        with pytest.raises(ValueError, match="tau"):
+            GreedyMaxPr(LinearClaim({0: 1.0}), tau=tau)
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+    def test_monte_carlo_samples_checked_at_construction(self, samples):
+        with pytest.raises(ValueError, match="monte_carlo_samples"):
+            GreedyMaxPr(LinearClaim({0: 1.0}), monte_carlo_samples=samples)
+
+    def test_unknown_method_checked_at_construction(self):
+        with pytest.raises(ValueError, match="method"):
+            GreedyMaxPr(LinearClaim({0: 1.0}), method="bogus")
+
+    def test_method_the_database_cannot_serve_fails_loudly(self, normal_database):
+        claim = LinearClaim.from_vector(np.ones(5))
+        with pytest.raises(ValueError, match="all-discrete"):
+            GreedyMaxPr(claim, method="convolution").select_indices(normal_database, 3.0)
+
     def test_monte_carlo_method(self, normal_database):
         claim = ThresholdClaim(SumClaim([0, 1, 2]), threshold=280.0, op=">=")
         selector = GreedyMaxPr(

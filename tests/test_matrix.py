@@ -108,6 +108,12 @@ class TestSkippingAndErrors:
         with pytest.raises(KeyError, match="unknown solver"):
             ScenarioMatrix(workloads=SMALL_WORKLOADS, solvers=["nope"])
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_tau_must_be_finite(self, tau):
+        # `matrix --tau nan` used to write every greedy_maxpr cell with no pick.
+        with pytest.raises(ValueError, match="tau"):
+            ScenarioMatrix(workloads=SMALL_WORKLOADS, tau=tau)
+
     def test_default_aliases_exist(self):
         for alias in DEFAULT_MATRIX_SOLVERS:
             assert alias in SOLVER_BUILDERS

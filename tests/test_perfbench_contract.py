@@ -14,7 +14,7 @@ from repro import kernels
 from repro.claims.functions import LinearClaim
 from repro.core.adaptive import AdaptiveMaxPr
 from repro.core.expected_variance import weighted_sum_pmf
-from repro.core.greedy import GreedyDep
+from repro.core.greedy import GreedyDep, GreedyMaxPr
 from repro.uncertainty.correlation import GaussianWorldModel, banded_covariance
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import DiscreteDistribution
@@ -61,8 +61,13 @@ def test_run_py_kernel_calls():
     assert set(checks.REQUIRED_ENVIRONMENT_KEYS) <= set(kernels.environment_metadata())
 
 
-def _run_every_kernel_path():
-    """Small solves that between them reach all six kernels through the engines."""
+def _kernel_paths():
+    """Small solves that between them reach all six kernels through the engines.
+
+    Each entry is ``(label, run, kernels)``: ``run()`` must reach every
+    kernel in ``kernels`` by itself, so an engine that stops calling one
+    through the module fails its own row.
+    """
     rng = np.random.default_rng(3)
     n = 12
     database = UncertainDatabase.from_normal_arrays(
@@ -80,18 +85,50 @@ def _run_every_kernel_path():
         database.current_values,
         BandedCovariance.from_moving_average(database.stds, bandwidth=3, rho=0.7),
     )
-    GreedyDep(claim, dense, conditional=True).select_indices(database, budget)
-    GreedyDep(claim, dense, conditional=False).select_indices(database, budget)
-    GreedyDep(claim, banded, conditional=True).select_indices(database, budget)
-    AdaptiveMaxPr(claim, tau=5.0).select_indices(database, budget)
-
     discrete = UncertainDatabase(
         [
             UncertainObject(f"d{i}", 1.0, DiscreteDistribution([0.0, 1.0, 2.0], [0.2, 0.5, 0.3]))
             for i in range(3)
         ]
     )
-    weighted_sum_pmf(discrete, [0, 1, 2], {0: 1.0, 1: 2.0, 2: 1.0})
+    discrete_claim = LinearClaim({0: 1.0, 1: 2.0, 2: 1.0})
+    return [
+        (
+            "conditional GreedyDep",
+            lambda: GreedyDep(claim, dense, conditional=True).select_indices(database, budget),
+            {"outer_downdate", "conditional_gains"},
+        ),
+        (
+            "marginal GreedyDep",
+            lambda: GreedyDep(claim, dense, conditional=False).select_indices(database, budget),
+            {"marginal_gains"},
+        ),
+        (
+            "banded GreedyDep",
+            lambda: GreedyDep(claim, banded, conditional=True).select_indices(database, budget),
+            {"banded_downdate", "conditional_gains"},
+        ),
+        (
+            "normal GreedyMaxPr",
+            lambda: GreedyMaxPr(claim, tau=5.0).select_indices(database, budget),
+            {"normal_surprise_scores"},
+        ),
+        (
+            "discrete GreedyMaxPr",
+            lambda: GreedyMaxPr(discrete_claim, tau=0.5).select_indices(discrete, 3.0),
+            {"convolve_support"},
+        ),
+        (
+            "AdaptiveMaxPr",
+            lambda: AdaptiveMaxPr(claim, tau=5.0).select_indices(database, budget),
+            {"normal_surprise_scores"},
+        ),
+        (
+            "weighted_sum_pmf",
+            lambda: weighted_sum_pmf(discrete, [0, 1, 2], {0: 1.0, 1: 2.0, 2: 1.0}),
+            {"convolve_support"},
+        ),
+    ]
 
 
 def test_kernel_probes_see_every_engine_call():
@@ -99,12 +136,20 @@ def test_kernel_probes_see_every_engine_call():
     # outer_downdate``) would bypass the probes and zero the traced run's
     # kernel attribution without failing anything else.
     spans = _load_spans()
-    recorder = spans.SpanRecorder()
-    uninstall = spans.install(recorder, [p for p in spans.PROBES if p[2] == "kernel"])
-    try:
-        _run_every_kernel_path()
-    finally:
-        uninstall()
-    recorded = {span[1] for span in recorder.spans}
-    missing = [name for name in spans.KERNELS if f"kernels.{name}" not in recorded]
+    kernel_probes = [p for p in spans.PROBES if p[2] == "kernel"]
+    seen = set()
+    unseen = {}
+    for label, run, expected in _kernel_paths():
+        recorder = spans.SpanRecorder()
+        uninstall = spans.install(recorder, kernel_probes)
+        try:
+            run()
+        finally:
+            uninstall()
+        recorded = {span[1].removeprefix("kernels.") for span in recorder.spans}
+        seen |= recorded
+        if expected - recorded:
+            unseen[label] = sorted(expected - recorded)
+    assert not unseen, f"kernel probes saw no call from {unseen}"
+    missing = [name for name in spans.KERNELS if name not in seen]
     assert not missing, f"kernel probes saw no call to {missing}"

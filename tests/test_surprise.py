@@ -196,6 +196,43 @@ class TestMakeSurpriseCalculator:
         with pytest.raises(ValueError):
             make_surprise_calculator(normal_database, claim, method="bogus")
 
+    def test_normal_method_needs_a_linear_f_and_an_all_normal_database(self, normal_database):
+        # Before the check this sampled: 0.24925 where the exact value is 0.24.
+        db = UncertainDatabase(
+            [
+                UncertainObject(f"x{i}", 1.0, DiscreteDistribution.uniform([0.0, 1.0, 2.0]))
+                for i in range(4)
+            ]
+        )
+        with pytest.raises(ValueError, match="all-normal"):
+            make_surprise_calculator(db, LinearClaim.from_vector(np.ones(4)), tau=0.5, method="normal")
+        indicator = ThresholdClaim(SumClaim([0, 1]), threshold=250.0)
+        with pytest.raises(ValueError, match="linear f"):
+            make_surprise_calculator(normal_database, indicator, method="normal")
+
+    def test_convolution_method_needs_a_linear_f_and_an_all_discrete_database(
+        self, normal_database, small_discrete_database
+    ):
+        with pytest.raises(ValueError, match="all-discrete"):
+            make_surprise_calculator(
+                normal_database, LinearClaim.from_vector(np.ones(5)), method="convolution"
+            )
+        indicator = ThresholdClaim(SumClaim([0, 1, 2]), threshold=20.0)
+        with pytest.raises(ValueError, match="linear f"):
+            make_surprise_calculator(small_discrete_database, indicator, method="convolution")
+
+    def test_exact_method_needs_an_all_discrete_database(self, normal_database):
+        with pytest.raises(ValueError, match="all-discrete"):
+            make_surprise_calculator(
+                normal_database, LinearClaim.from_vector(np.ones(5)), method="exact"
+            )
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+    def test_monte_carlo_samples_must_be_a_positive_integer(self, normal_database, samples):
+        claim = ThresholdClaim(SumClaim([0, 1]), threshold=250.0)
+        with pytest.raises(ValueError, match="monte_carlo_samples"):
+            make_surprise_calculator(normal_database, claim, monte_carlo_samples=samples)
+
     def test_explicit_method_selection(self, small_discrete_database):
         claim = LinearClaim.from_vector(np.ones(6))
         exact = make_surprise_calculator(small_discrete_database, claim, method="exact")
