@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import run_once
-from oracles.policies import DepBenefit
+from oracles.policies import DepBenefit, greedy_reference
 from repro.claims.functions import LinearClaim
 from repro.kernels import environment_metadata
 from repro.core.adaptive import AdaptiveMinVar, ground_truth_oracle, run_adaptive_trials
@@ -29,7 +29,7 @@ from repro.core.expected_variance import (
     expected_variance_monte_carlo,
     weighted_sum_pmf,
 )
-from repro.core.greedy import GreedyDep, GreedyMinVar, greedy_select
+from repro.core.greedy import GreedyDep, GreedyMinVar
 from repro.core.problems import budget_from_fraction
 from repro.experiments.efficiency import _build_scaled_workload
 from repro.experiments.figures import figure11_dependency, figure11c_gamma_grid
@@ -48,6 +48,8 @@ GREEDY_CEILING_SECONDS = 3.0
 # sweep at n = 2,000 costs at most this multiple of ONE full-budget run.
 SWEEP_RATIO_CEILING = 1.5
 SWEEP_FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0)
+# Interleaved (single run, traced sweep) timing pairs behind the gated median.
+SWEEP_PAIRS = 7
 
 ARTIFACT_PATH = Path(__file__).parent / "BENCH_kernels.json"
 SWEEP_ARTIFACT_PATH = Path(__file__).parent / "BENCH_sweeps.json"
@@ -149,6 +151,12 @@ def test_sweep_engine_single_trace_n2000(benchmark, report):
     Asserts the ISSUE-2 acceptance criterion — traced sweep <= 1.5x a single
     full-budget run — verifies the three agree row-for-row, and writes the
     timings to ``BENCH_sweeps.json`` for the perf trajectory.
+
+    The single run and the traced sweep are timed in ``SWEEP_PAIRS``
+    back-to-back pairs, and the gate reads the median of the per-pair
+    ratios: a slow spell of a shared host then slows both sides of a pair,
+    and one disturbed pair cannot move the median.  The artifact's second
+    counts are the medians of each side.
     """
     workload = _build_scaled_workload(2000, 100.0, 3)
     function = workload.query_function
@@ -157,12 +165,6 @@ def test_sweep_engine_single_trace_n2000(benchmark, report):
 
     # Warm-up: take numpy / import costs out of the first timed run.
     GreedyMinVar(function).select_indices(database, budget_from_fraction(database, 0.02))
-
-    # Best-of-3 on both sides of the asserted ratio: single wall-clock
-    # samples on shared hosts are noisy enough to eat the contract's margin.
-    single_run_seconds = _time(
-        lambda: GreedyMinVar(function).select_indices(database, full_budget), repeats=3
-    )
 
     def traced_sweep():
         calculator = DecomposedEVCalculator(database, function)
@@ -173,10 +175,16 @@ def test_sweep_engine_single_trace_n2000(benchmark, report):
             budget_fractions=SWEEP_FRACTIONS,
         )
 
-    start = time.perf_counter()
-    traced = run_once(benchmark, traced_sweep)
-    traced_seconds = time.perf_counter() - start
-    traced_seconds = min(traced_seconds, _time(traced_sweep, repeats=2))
+    single_times, traced_times = [], []
+    for pair in range(SWEEP_PAIRS):
+        start = time.perf_counter()
+        GreedyMinVar(function).select_indices(database, full_budget)
+        single_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        traced = run_once(benchmark, traced_sweep) if pair == 0 else traced_sweep()
+        traced_times.append(time.perf_counter() - start)
+    single_run_seconds = float(np.median(single_times))
+    traced_seconds = float(np.median(traced_times))
 
     # Per-budget re-runs with a fresh solver and calculator per budget: the
     # O(budgets x greedy-run) shape the trace engine removes.
@@ -197,11 +205,14 @@ def test_sweep_engine_single_trace_n2000(benchmark, report):
     assert all(
         abs(a - b) <= 1e-12 for a, b in zip(traced.series["GreedyMinVar"], cold_series)
     ), "the traced sweep's objective series must match per-budget re-runs"
-    ratio = traced_seconds / max(single_run_seconds, 1e-9)
+    ratio = float(
+        np.median([b / max(a, 1e-9) for a, b in zip(single_times, traced_times)])
+    )
 
     artifact = {
         "n_objects": 2000,
         "budget_fractions": list(SWEEP_FRACTIONS),
+        "timed_pairs": SWEEP_PAIRS,
         "single_full_budget_run_seconds": single_run_seconds,
         "traced_sweep_seconds": traced_seconds,
         "per_budget_cold_rerun_seconds": per_budget_cold_seconds,
@@ -215,15 +226,17 @@ def test_sweep_engine_single_trace_n2000(benchmark, report):
     report(
         "Sweep engine (n=2000, 6 budgets): "
         f"single run {single_run_seconds:.3f}s, traced sweep {traced_seconds:.3f}s "
-        f"({ratio:.2f}x, ceiling {SWEEP_RATIO_CEILING}x), "
+        f"(median pair ratio {ratio:.2f}x over {SWEEP_PAIRS} pairs, "
+        f"ceiling {SWEEP_RATIO_CEILING}x), "
         f"cold per-budget re-runs {per_budget_cold_seconds:.3f}s "
         f"({per_budget_cold_seconds / max(traced_seconds, 1e-9):.1f}x the traced sweep); "
         f"artifact -> {SWEEP_ARTIFACT_PATH.name}"
     )
     # After the artifact write, so a breach reaches the CI regression gate.
     assert ratio <= SWEEP_RATIO_CEILING, (
-        f"6-budget traced sweep took {traced_seconds:.3f}s = {ratio:.2f}x a single "
-        f"full-budget run ({single_run_seconds:.3f}s); ceiling {SWEEP_RATIO_CEILING}x"
+        f"6-budget traced sweep took a median {ratio:.2f}x a single full-budget run "
+        f"over {SWEEP_PAIRS} pairs (medians {traced_seconds:.3f}s and "
+        f"{single_run_seconds:.3f}s); ceiling {SWEEP_RATIO_CEILING}x"
     )
 
 
@@ -369,7 +382,7 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     Times the n = 500 GreedyDep selection (conditional mode, 20% budget)
     two ways:
 
-    * the scratch loop (``greedy_select`` over the oracle benefit in
+    * the scratch loop (``greedy_reference`` over the oracle benefit in
       ``tests/oracles/policies.py``: one Schur complement, a Cholesky solve
       against the cleaned block, per candidate per step) — measured once, it
       is the slow baseline and doubles as the eager benefit-evaluation count;
@@ -385,7 +398,7 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
 
     eager_benefit = DepBenefit(claim, model)
     start = time.perf_counter()
-    scratch_selected = greedy_select(database, budget, eager_benefit)
+    scratch_selected = greedy_reference(database, budget, eager_benefit)
     scratch_seconds = time.perf_counter() - start
     eager_evaluations = eager_benefit.evaluations
 

@@ -59,7 +59,7 @@ precomputation (base calculator, memoized pieces, surprise-engine base).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,7 @@ from repro.core.expected_variance import (
     ev_strategy,
     make_ev_calculator,
 )
+from repro.core.problems import check_budget
 from repro.core.solver import Solver, register_solver
 from repro.core.surprise import (
     SurpriseBase,
@@ -153,7 +154,9 @@ class _AdaptivePolicy(Solver):
     ``select_indices`` is provided for harnesses that want a plan from an
     adaptive policy without managing an oracle: it simulates a run against a
     :func:`sampling_oracle` seeded from ``simulation_seed`` (deterministic by
-    default) and returns the cleaned indices in reveal order.
+    default) and returns the cleaned indices in reveal order.  Every
+    policy's :meth:`run` refuses a NaN or negative budget with
+    ``ValueError``.
     """
 
     simulation_seed: int = 0
@@ -198,6 +201,7 @@ class AdaptiveMinVar(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Clean adaptively until the budget is exhausted or nothing helps."""
+        check_budget(budget)
         # ev_strategy is the routing make_ev_calculator applies inside the
         # exact loop, so every path takes the calculator's mathematical route.
         strategy = ev_strategy(database, self.function)
@@ -267,7 +271,7 @@ class AdaptiveMinVar(_AdaptivePolicy):
             run.final_objective = after
 
     def _decomposed_base(self, database: UncertainDatabase):
-        """Per-database base state: calculator, neighbour sets, empty-set gains.
+        """Per-database base state: calculator, empty-set gains, objective.
 
         Cached by database identity so repeated runs on the same database
         (the multi-trial driver, budget comparisons) pay the standalone-gain
@@ -276,26 +280,15 @@ class AdaptiveMinVar(_AdaptivePolicy):
         """
         cached = self._prepared
         if cached is not None and cached[0] is database:
-            return cached[1], cached[2], cached[3], cached[4]
-        n = len(database)
+            return cached[1], cached[2], cached[3]
         calculator = DecomposedEVCalculator(database, self.function)
-        neighbours: List[Set[int]] = [set() for _ in range(n)]
-        for term in calculator.terms:
-            members = list(term.referenced_indices)
-            for i in members:
-                neighbours[i].update(members)
-        for k, l in calculator.interacting_pairs:
-            members = list(
-                calculator.terms[k].referenced_indices | calculator.terms[l].referenced_indices
-            )
-            for i in members:
-                neighbours[i].update(members)
         gains = np.array(
-            [calculator.marginal_gain(_EMPTY_FROZEN, i) for i in range(n)], dtype=float
+            [calculator.marginal_gain(_EMPTY_FROZEN, i) for i in range(len(database))],
+            dtype=float,
         )
         current = calculator.expected_variance(())
-        self._prepared = (database, calculator, neighbours, gains, current)
-        return calculator, neighbours, gains, current
+        self._prepared = (database, calculator, gains, current)
+        return calculator, gains, current
 
     def _run_decomposed(
         self, database: UncertainDatabase, budget: float, oracle: RevealOracle
@@ -310,7 +303,7 @@ class AdaptiveMinVar(_AdaptivePolicy):
         """
         n = len(database)
         costs = database.costs
-        calculator, neighbours, base_gains, current = self._decomposed_base(database)
+        calculator, base_gains, current = self._decomposed_base(database)
         gains = base_gains.copy()
         run = AdaptiveRun()
         spent = 0.0
@@ -349,7 +342,7 @@ class AdaptiveMinVar(_AdaptivePolicy):
             run.total_cost = spent
             run.final_objective = after
             current = after
-            for i in neighbours[best]:
+            for i in calculator.neighbours(best):
                 if feasible[i]:
                     gains[i] = calculator.marginal_gain(_EMPTY_FROZEN, i)
                     ratios[i] = gains[i] / costs[i]
@@ -462,6 +455,7 @@ class AdaptiveMaxPr(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Execute the adaptive loop: reveal, update beliefs, re-plan (see class docs)."""
+        check_budget(budget)
         baseline = float(self.function.evaluate(database.current_values))
         target = baseline - self.tau
         n = len(database)
@@ -574,6 +568,7 @@ class AdaptiveDep(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Execute the adaptive loop: reveal, update beliefs, re-plan (see class docs)."""
+        check_budget(budget)
         n = len(database)
         costs = database.costs
         weights = self.function.weights(n)

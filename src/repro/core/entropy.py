@@ -209,7 +209,6 @@ class GreedyMinEntropy(_DatabaseKeyedCache, ResumableSolver):
             database,
             budget,
             benefit,
-            adaptive=True,
             initial_selection=initial_selection,
             record_steps=record_steps,
         )

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.claims.functions import ClaimFunction
 from repro.claims.quality import ClaimQualityMeasure, QualityTerm
+from repro.core.surprise import check_sample_count
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import DiscreteDistribution as DiscreteDistributionType
 from repro.uncertainty.distributions import convolve_support
@@ -187,8 +188,11 @@ def expected_variance_monte_carlo(
     ``(inner_samples, n)`` matrix gets the cleaning outcome broadcast into the
     cleaned columns and a vectorized ``distribution.sample(rng, size)`` draw
     per free column, then one ``evaluate_batch`` call produces every inner
-    draw at once — no per-sample value-vector copies.
+    draw at once — no per-sample value-vector copies.  Both sample counts
+    must be integers >= 1.
     """
+    check_sample_count("outer_samples", outer_samples)
+    check_sample_count("inner_samples", inner_samples)
     cleaned_list = sorted(set(int(i) for i in cleaned))
     referenced = sorted(function.referenced_indices)
     free = [i for i in referenced if i not in cleaned_list]
@@ -293,6 +297,8 @@ class DecomposedEVCalculator:
             self._pair_union_refs[(k, l)] = frozenset(union)
             for i in union:
                 self._pairs_by_object.setdefault(i, []).append((k, l))
+        # Object -> neighbour set (see `neighbours`), filled on first use.
+        self._neighbours: Dict[int, FrozenSet[int]] = {}
         # Memo tables are keyed piece-first (term index / pair) with an inner
         # dict per piece, so `condition` can drop exactly the pieces a reveal
         # invalidates and share every other piece's entries with the parent.
@@ -551,6 +557,26 @@ class DecomposedEVCalculator:
             gain -= 2.0 * self._pair_expected_covariance(k, l, relevant | {candidate})
         return float(gain)
 
+    def neighbours(self, index: int) -> FrozenSet[int]:
+        """Objects whose marginal gain can change when ``index`` is cleaned.
+
+        The objects sharing a term or an interacting term pair with
+        ``index`` (Theorem 3.8's locality), ``index`` itself included when
+        any term reads it; empty for an object no term reads.  Built on
+        first use and shared with :meth:`rebased` / :meth:`condition`
+        children, like the inverted indexes it is built from.
+        """
+        index = int(index)
+        found = self._neighbours.get(index)
+        if found is None:
+            members: set = set()
+            for k in self._terms_by_object.get(index, ()):
+                members |= self.terms[k].referenced_indices
+            for pair in self._pairs_by_object.get(index, ()):
+                members |= self._pair_union_refs[pair]
+            found = self._neighbours[index] = frozenset(members)
+        return found
+
     def standalone_gains(self) -> np.ndarray:
         """Read-only vector of ``marginal_gain(∅, i)`` for every object.
 
@@ -605,20 +631,20 @@ class DecomposedEVCalculator:
         other._terms_by_object = self._terms_by_object
         other._pairs_by_object = self._pairs_by_object
         other._pair_union_refs = self._pair_union_refs
+        other._neighbours = self._neighbours
         variance_cache = dict(self._variance_cache)
         grid_cache = dict(self._term_grid_cache)
         covariance_cache = dict(self._covariance_cache)
         affected: set = set()
         for index in invalidated:
             index = int(index)
-            affected.add(index)
             for k in self._terms_by_object.get(index, ()):
                 variance_cache.pop(k, None)
                 grid_cache.pop(k, None)
-                affected |= self.terms[k].referenced_indices
             for pair in self._pairs_by_object.get(index, ()):
                 covariance_cache.pop(pair, None)
-                affected |= self._pair_union_refs[pair]
+            affected.add(index)
+            affected |= self.neighbours(index)
         other._variance_cache = variance_cache
         other._covariance_cache = covariance_cache
         other._term_grid_cache = grid_cache

@@ -17,30 +17,42 @@ Section 4 are all provided here:
 * :class:`GreedyDep` — like GreedyMinVar but aware of a correlated
   (multivariate normal) error model (Section 4.5).
 
+Algorithm 1 is written twice, once per kind of benefit:
+
+* ``_greedy_loop`` — the one adaptive loop.  It runs over a *gains engine*
+  that returns the current gain vector, folds in a pick, and returns
+  standalone gains for the safeguard.  Four engines serve it: the Gaussian
+  conditioning engines (GreedyDep), the decomposed-EV calculator, which
+  re-scores only the term neighbours of a pick (Theorem 3.8, GreedyMinVar),
+  the :class:`~repro.core.surprise.SurpriseEngine` (GreedyMaxPr), and a
+  per-candidate adapter over a ``benefit(T, i)`` callable
+  (:func:`greedy_select`: generic-EV GreedyMinVar, GreedyMinEntropy and
+  GreedyMaxPr's per-set fallback).  When the engine names the gains a pick
+  moved, only their ratios are patched; otherwise the ratio vector is
+  rebuilt.
+* :func:`modular_walk` — fixed benefits (the naive baselines, linear
+  GreedyMinVar): one sorted walk.
+
 All of them are :class:`~repro.core.solver.Solver` subclasses and support
 anytime :class:`~repro.core.solver.SelectionTrace` recording: one run at the
 largest budget yields the exact selection at every smaller budget (the sweep
-engine's single-trace fast path).  The shared mechanics live in
-``greedy_select``'s ``initial_selection`` (warm-start the loop from a recorded
-prefix) and ``record_steps`` (log each pick) hooks.
+engine's single-trace fast path).  Both loops take ``initial_selection``
+(warm-start from a recorded prefix) and ``record_steps`` (log each pick).
 
-Each solver is one exact loop: every step takes the best-ranked of all
-feasible candidates.  The engines already make a step cheap — GreedyDep
-scores every candidate in one ``engine.gains()`` pass, the decomposed
-GreedyMinVar re-scores only the term neighbours of the last pick (Theorem
-3.8) and the modular walk is one sort — so no variant samples candidates or
-re-scores them lazily from stale upper bounds.
+Every step takes the best-ranked of all feasible candidates, so no variant
+samples candidates or re-scores them lazily from stale upper bounds.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.claims.functions import ClaimFunction
 from repro.core.expected_variance import DecomposedEVCalculator, make_ev_calculator
+from repro.core.problems import check_budget
 from repro.core.solver import (
     ResumableSolver,
     SelectionStep,
@@ -54,11 +66,12 @@ from repro.core.surprise import (
     finite_tau,
     make_surprise_calculator,
 )
-from repro.uncertainty.correlation import ConditionalGaussian, GaussianWorldModel
+from repro.uncertainty.correlation import GaussianWorldModel
 from repro.uncertainty.database import UncertainDatabase
 
 __all__ = [
     "greedy_select",
+    "modular_walk",
     "RandomSelector",
     "GreedyNaiveCostBlind",
     "GreedyNaive",
@@ -78,50 +91,254 @@ MAXPR_MIN_GAIN = 1e-12
 _ENGINE_BASE = "surprise_base"
 
 
+def _prefix(initial_selection: Optional[Sequence[int]]) -> List[int]:
+    return [int(i) for i in initial_selection] if initial_selection else []
+
+
+def _safeguard(
+    selected: List[int],
+    costs: np.ndarray,
+    budget: float,
+    standalone: Callable[[np.ndarray], np.ndarray],
+) -> List[int]:
+    """Lines 5-8 of Algorithm 1: the best affordable single object, if it beats the selection.
+
+    ``standalone(indices)`` returns the empty-set benefits of ``indices`` in
+    order; it is asked once, for the remaining affordable objects ascending
+    and then the picks in pick order.  The selection's total is a left fold
+    in pick order on every path, so a tie breaks the same way everywhere.
+    """
+    affordable = costs <= budget + 1e-9
+    affordable[selected] = False
+    remaining = np.flatnonzero(affordable)
+    if remaining.size == 0:
+        return selected
+    values = standalone(np.concatenate((remaining, np.array(selected, dtype=remaining.dtype))))
+    best = int(np.argmax(values[: remaining.size]))
+    if values[best] > sum(values[remaining.size :].tolist()):
+        return [int(remaining[best])]
+    return selected
+
+
+def _greedy_loop(
+    engine,
+    database: UncertainDatabase,
+    budget: float,
+    selected: List[int],
+    stop_when_no_gain: bool = False,
+    apply_safeguard: bool = True,
+    record_steps: Optional[List[SelectionStep]] = None,
+) -> List[int]:
+    """Algorithm 1 over a gains engine, warm-started from ``selected``.
+
+    Each step prunes the candidates the remaining budget no longer affords
+    (feasibility is monotone, so a mask pruned in place), takes the first
+    index of the best gain/cost ratio, optionally stops once that gain is at
+    most ``MAXPR_MIN_GAIN``, records the pick and hands it to the engine.
+    ``selected`` is the warm-start prefix (extended in place); the engine
+    must already be conditioned on it.  The engine is duck-typed:
+
+    * ``gains(feasible)`` — the gain of every object against the current
+      selection; entries outside ``feasible`` are ignored;
+    * ``select(index)`` — fold in a pick and return the indices whose
+      entries of the last ``gains`` array it rewrote in place, or None when
+      any gain may have moved (the loop then asks ``gains`` again);
+    * ``standalone(indices)`` — empty-set gains for the safeguard.
+
+    Named moves patch only their own ratios: on the decomposed engine a
+    rebuild of the whole ratio vector would add about a fifth to each step.
+    """
+    costs = database.costs
+    feasible = np.ones(len(database), dtype=bool)
+    feasible[selected] = False
+    spent = float(costs[selected].sum()) if selected else 0.0
+    ratios = None  # None: the next step reads every gain afresh
+    while True:
+        pruned = feasible & ((spent + costs) > budget + 1e-9)
+        if pruned.any():
+            feasible &= ~pruned
+            if ratios is not None:
+                ratios[pruned] = -np.inf
+        if not feasible.any():
+            break
+        if ratios is None:
+            gains = engine.gains(feasible)
+            ratios = np.where(feasible, gains / costs, -np.inf)
+        best = int(np.argmax(ratios))
+        gain = float(gains[best])
+        if stop_when_no_gain and gain <= MAXPR_MIN_GAIN:
+            break
+        if record_steps is not None:
+            record_steps.append(
+                SelectionStep(
+                    best, float(costs[best]), gain, float(budget - (spent + costs[best]))
+                )
+            )
+        selected.append(best)
+        feasible[best] = False
+        spent += costs[best]
+        moved = engine.select(best)
+        if moved is None:
+            ratios = None
+        else:
+            ratios[best] = -np.inf
+            for i in moved:
+                if feasible[i]:
+                    ratios[i] = gains[i] / costs[i]
+    if apply_safeguard:
+        return _safeguard(selected, costs, budget, engine.standalone)
+    return selected
+
+
+class _PerCandidateGains:
+    """``benefit(T, i)`` for each feasible candidate, ascending, once per step.
+
+    The safeguard's standalone benefits are asked in the order
+    :func:`_safeguard` lists them, so a benefit that draws random numbers
+    (Monte-Carlo MaxPr) draws them in a fixed order.
+    """
+
+    def __init__(self, benefit: BenefitFunction, selected: Sequence[int]):
+        self.benefit = benefit
+        self.selected = list(selected)
+
+    def gains(self, feasible: np.ndarray) -> np.ndarray:
+        gains = np.zeros(feasible.size)
+        for i in np.flatnonzero(feasible).tolist():
+            gains[i] = self.benefit(self.selected, i)
+        return gains
+
+    def select(self, index: int) -> None:
+        self.selected.append(index)
+
+    def standalone(self, indices: np.ndarray) -> np.ndarray:
+        return np.array([self.benefit((), i) for i in indices.tolist()], dtype=float)
+
+
+class _VectorGains:
+    """An engine that keeps its gain vector and its standalone gain vector."""
+
+    _gains: np.ndarray
+    _standalone: np.ndarray
+
+    def gains(self, feasible: np.ndarray) -> np.ndarray:
+        return self._gains
+
+    def standalone(self, indices: np.ndarray) -> np.ndarray:
+        return self._standalone[indices]
+
+
+class _GaussianGains(_VectorGains):
+    """GreedyDep's engine: one downdate and one vectorized gains pass per pick.
+
+    Correlations can move any candidate's gain, so every pick re-scores all
+    of them.  A warm engine may already be conditioned on prefix members
+    (out-of-band reveals that intersect the kept prefix), so a pick of a
+    cleaned object is not downdated twice.
+    """
+
+    def __init__(self, engine, selected: Sequence[int]):
+        self.engine = engine
+        # Empty-set gains double as the single-item safeguard inputs.
+        self._standalone = engine.gains()
+        for index in selected:
+            if not engine.is_cleaned(index):
+                engine.condition_on(index)
+        self._gains = engine.gains() if selected else self._standalone
+
+    def select(self, index: int) -> None:
+        if not self.engine.is_cleaned(index):
+            self.engine.condition_on(index)
+        self._gains = self.engine.gains()
+
+
+class _DecomposedGains(_VectorGains):
+    """Decomposed-EV gains: a pick re-scores only its term/pair neighbours.
+
+    Adding an object to the cleaned set can only change the marginal gain
+    of objects that share a perturbation term (or an interacting term pair)
+    with it (Theorem 3.8).  EV's submodularity (Lemma 3.5) means gains grow
+    as the selection does, so CELF-style lazy evaluation with stale upper
+    bounds would *not* be exact here — this invalidation scheme is.  A warm
+    start scores every object against the prefix (memoized by the
+    calculator, so mostly cache reads).
+    """
+
+    def __init__(self, calculator: DecomposedEVCalculator, selected: Sequence[int]):
+        self.calculator = calculator
+        # Memoized by the calculator and patched across rebased children, so
+        # a warm-started streaming re-solve re-prices a handful of entries.
+        self._standalone = calculator.standalone_gains()
+        self.selected = frozenset(selected)
+        if selected:
+            self._gains = np.array(
+                [
+                    calculator.marginal_gain(self.selected, i)
+                    for i in range(len(calculator.database))
+                ],
+                dtype=float,
+            )
+        else:
+            self._gains = self._standalone.copy()  # read-only; select writes
+
+    def select(self, index: int) -> List[int]:
+        calculator = self.calculator
+        self.selected = selected = self.selected | {index}
+        moved = [i for i in calculator.neighbours(index) if i not in selected]
+        for i in moved:
+            self._gains[i] = calculator.marginal_gain(selected, i)
+        return moved
+
+
+class _SurpriseGains(_VectorGains):
+    """GreedyMaxPr's engine: every candidate scored against the prefix in one pass."""
+
+    def __init__(self, base: SurpriseBase, tau: float, selected: Sequence[int]):
+        self.engine = SurpriseEngine(base)
+        self.tau = tau
+        # Empty-prefix probabilities double as the single-item safeguard inputs.
+        self._standalone = self._scores = self.engine.probabilities(tau)
+        for index in selected:
+            self.select(index)
+
+    def gains(self, feasible: np.ndarray) -> np.ndarray:
+        if self._scores is None:
+            self._scores = self.engine.probabilities(self.tau)
+        return self._scores - self.engine.probability(self.tau)
+
+    def select(self, index: int) -> None:
+        self.engine.condition_on(index)
+        self._scores = None
+
+
 def greedy_select(
     database: UncertainDatabase,
     budget: float,
     benefit: BenefitFunction,
-    adaptive: bool = True,
     stop_when_no_gain: bool = False,
-    use_cost_ratio: bool = True,
     apply_safeguard: bool = True,
-    static_benefits: Optional[Sequence[float]] = None,
     initial_selection: Optional[Sequence[int]] = None,
     record_steps: Optional[List[SelectionStep]] = None,
 ) -> List[int]:
-    """The Algorithm-1 greedy template.
+    """The Algorithm-1 greedy over a per-candidate benefit callable.
 
-    Every adaptive step scores each feasible candidate against the current
-    selection, so each pick is the exact best ratio; the non-adaptive path
-    is one sorted walk.
+    Every step scores each feasible candidate against the current selection
+    (ascending index order, one call each), so each pick is the exact best
+    ratio; ties go to the lowest index.  Benefits known up front belong in
+    :func:`modular_walk` instead.
 
     Parameters
     ----------
     benefit:
         ``benefit(T, i)`` estimates the benefit of cleaning object ``i`` given
-        the objects ``T`` already chosen.  Non-adaptive strategies simply
-        ignore ``T``.
-    adaptive:
-        When False, benefits are computed once against the empty set and the
-        objects are processed in a single sorted pass (the GreedyNaive /
-        modular fast path), vectorized so the walk costs O(n log n) numpy
-        work rather than n Python-level benefit calls when
-        ``static_benefits`` is supplied.
+        the objects ``T`` already chosen.
     stop_when_no_gain:
         Stop as soon as the best-ratio candidate's benefit is at most
         ``MAXPR_MIN_GAIN`` (1e-12).  Used by GreedyMaxPr, where cleaning more
         objects can reduce the objective (Figure 12's plateau).
-    use_cost_ratio:
-        Rank candidates by ``benefit / cost``; when False rank by raw benefit
-        (the cost-blind baseline).
     apply_safeguard:
-        Apply the final single-item check (lines 5--8 of Algorithm 1).
-    static_benefits:
-        Precomputed standalone benefits for the non-adaptive path (entry
-        ``i`` is ``benefit((), i)``).  Skips the n Python-level benefit
-        calls — at n = 10^6 that is the difference between milliseconds and
-        minutes — and doubles as the safeguard's input.
+        Apply the final single-item check (lines 5--8 of Algorithm 1), on
+        standalone benefits ``benefit((), i)``.
     initial_selection:
         Warm-start the loop as if these objects had already been selected (in
         this order) by an earlier identical run — the resume half of the
@@ -133,153 +350,111 @@ def greedy_select(
         :class:`~repro.core.solver.SelectionStep` (index, cost, marginal
         benefit at selection time).  The single-item safeguard is *not* part
         of the step log — it is re-applied per budget when a trace is sliced.
+
+    A NaN or negative ``budget`` raises ``ValueError``.
     """
+    check_budget(budget)
+    selected = _prefix(initial_selection)
+    return _greedy_loop(
+        _PerCandidateGains(benefit, selected),
+        database,
+        budget,
+        selected,
+        stop_when_no_gain=stop_when_no_gain,
+        apply_safeguard=apply_safeguard,
+        record_steps=record_steps,
+    )
+
+
+def modular_walk(
+    database: UncertainDatabase,
+    budget: float,
+    benefits: Sequence[float],
+    use_cost_ratio: bool = True,
+    apply_safeguard: bool = True,
+    initial_selection: Optional[Sequence[int]] = None,
+    record_steps: Optional[List[SelectionStep]] = None,
+) -> List[int]:
+    """Algorithm 1 for fixed benefits: one sorted walk.
+
+    ``benefits[i]`` is object ``i``'s benefit, independent of the selection
+    (a modular objective).  Objects are taken in decreasing ``benefit /
+    cost`` order — raw benefit when ``use_cost_ratio`` is False, the
+    cost-blind baseline — with ties broken by cost, then index, while they
+    fit the budget.  The walk bulk-accepts affordable runs with vectorized
+    cumulative sums, so it costs O(n log n) numpy work: at n = 10^6 that is
+    the difference between milliseconds and minutes.  ``apply_safeguard``,
+    ``initial_selection`` and ``record_steps`` are :func:`greedy_select`'s;
+    the safeguard reads ``benefits``.  A NaN or negative ``budget`` raises
+    ``ValueError``.
+    """
+    check_budget(budget)
     n = len(database)
     costs = database.costs
-    selected: List[int] = [int(i) for i in initial_selection] if initial_selection else []
-    selected_set: Set[int] = set(selected)
+    static = np.asarray(benefits, dtype=float)
+    if static.shape != (n,):
+        raise ValueError(f"benefits must have shape ({n},), got {static.shape}")
+    selected = _prefix(initial_selection)
     spent = float(costs[selected].sum()) if selected else 0.0
-    need_gain = stop_when_no_gain or record_steps is not None
-    standalone_static: Optional[np.ndarray] = None  # reused by the safeguard
 
-    def score(index: int, current: Sequence[int]) -> float:
-        b = benefit(current, index)
-        if not use_cost_ratio:
-            return b
-        return b / costs[index]
+    def record(index: int, remaining: float) -> None:
+        record_steps.append(
+            SelectionStep(index, float(costs[index]), float(static[index]), float(remaining))
+        )
 
-    def record(index: int, gain: float, remaining: Optional[float] = None) -> None:
-        if record_steps is not None:
-            if remaining is None:
-                # record() is called before `spent` is advanced, so the
-                # remaining budget after this pick is one addition away.
-                remaining = budget - (spent + costs[index])
-            record_steps.append(
-                SelectionStep(
-                    int(index), float(costs[index]), float(gain), float(remaining)
-                )
-            )
-
-    if adaptive:
-        # Feasibility is monotone (spent only grows), so a boolean mask pruned
-        # in place replaces the O(n) candidate-list rebuild of each round.
-        feasible = np.ones(n, dtype=bool)
-        if selected:
-            feasible[selected] = False
-        while True:
-            feasible &= (spent + costs) <= budget + 1e-9
-            candidates = np.flatnonzero(feasible)
-            if candidates.size == 0:
-                break
-            best = int(max(candidates, key=lambda i: score(int(i), selected)))
-            if need_gain:
-                gain = benefit(selected, best)
-                if stop_when_no_gain and gain <= MAXPR_MIN_GAIN:
-                    break
-                record(best, gain)
-            selected.append(best)
-            selected_set.add(best)
-            feasible[best] = False
-            spent += costs[best]
-    else:
-        if static_benefits is not None:
-            static = np.asarray(static_benefits, dtype=float)
-            if static.shape != (n,):
-                raise ValueError(
-                    f"static_benefits must have shape ({n},), got {static.shape}"
-                )
-        else:
-            static = np.array([benefit((), i) for i in range(n)], dtype=float)
-        standalone_static = static
-        keys = static / costs if use_cost_ratio else static
-        # lexsort is stable, so ties on (key desc, cost asc) keep index
-        # order — exactly the semantics of the sorted() walk it replaces.
-        order = np.lexsort((costs, -keys))
-        if stop_when_no_gain:
-            # Keys sort descending, so every non-positive static benefit
-            # sits in one suffix; the sequential walk broke at its start.
-            nonpositive = np.flatnonzero(static[order] <= 0)
-            if nonpositive.size:
-                order = order[: nonpositive[0]]
-        if selected_set:
-            keep = np.ones(n, dtype=bool)
-            keep[list(selected_set)] = False
-            order = order[keep[order]]
-        order_costs = costs[order]
-        rounds = 0
-        while order.size:
-            rounds += 1
-            if rounds > 64:
-                # Pathological cost pattern (every round accepts and
-                # drops only a handful of near-boundary items): finish
-                # with the reference item-by-item walk over what is
-                # left, which is exactly the semantics the vectorized
-                # rounds reproduce.
-                for raw, cost in zip(order.tolist(), order_costs.tolist()):
-                    if spent + cost <= budget + 1e-9:
-                        record(int(raw), float(static[raw]))
-                        selected.append(int(raw))
-                        selected_set.add(int(raw))
-                        spent += cost
-                break
-            # Bulk-accept the longest affordable prefix.  The cumsum is
-            # seeded with the running spend so the float additions fold
-            # left-to-right exactly like the item-by-item walk.
-            cumulative = np.cumsum(np.concatenate(([spent], order_costs)))[1:]
-            fits = cumulative <= budget + 1e-9
-            stop = int(np.argmax(~fits)) if not fits.all() else int(fits.size)
-            if stop:
-                taken = order[:stop]
-                if record_steps is not None:
-                    # `spent` is only advanced after the whole bulk
-                    # accept, so per-item remaining budgets come from the
-                    # same cumulative sums that gated the accept.
-                    for position, i in enumerate(taken):
-                        record(
-                            int(i),
-                            float(static[i]),
-                            budget - float(cumulative[position]),
-                        )
-                selected.extend(int(i) for i in taken)
-                selected_set.update(int(i) for i in taken)
-                spent = float(cumulative[stop - 1])
-            if stop == order.size:
-                break
-            # Spend only grows and float addition is monotone, so any
-            # item that does not fit on its own now can never fit later.
-            # Drop that whole cohort at once — including the item at
-            # ``stop``, which just failed — instead of skipping failures
-            # one at a time (quadratic under unit costs at large n).
-            tail_costs = order_costs[stop:]
-            keep = spent + tail_costs <= budget + 1e-9
-            order = order[stop:][keep]
-            order_costs = tail_costs[keep]
+    keys = static / costs if use_cost_ratio else static
+    # lexsort is stable, so ties on (key desc, cost asc) keep index
+    # order — exactly the semantics of the sorted() walk it replaces.
+    order = np.lexsort((costs, -keys))
+    if selected:
+        keep = np.ones(n, dtype=bool)
+        keep[selected] = False
+        order = order[keep[order]]
+    order_costs = costs[order]
+    rounds = 0
+    while order.size:
+        rounds += 1
+        if rounds > 64:
+            # Pathological cost pattern (every round accepts and drops only
+            # a handful of near-boundary items): finish with the reference
+            # item-by-item walk over what is left, which is exactly the
+            # semantics the vectorized rounds reproduce.
+            for raw, cost in zip(order.tolist(), order_costs.tolist()):
+                if spent + cost <= budget + 1e-9:
+                    if record_steps is not None:
+                        record(raw, budget - (spent + costs[raw]))
+                    selected.append(raw)
+                    spent += cost
+            break
+        # Bulk-accept the longest affordable prefix.  The cumsum is seeded
+        # with the running spend so the float additions fold left-to-right
+        # exactly like the item-by-item walk.
+        cumulative = np.cumsum(np.concatenate(([spent], order_costs)))[1:]
+        fits = cumulative <= budget + 1e-9
+        stop = int(np.argmax(~fits)) if not fits.all() else int(fits.size)
+        if stop:
+            taken = order[:stop].tolist()
+            if record_steps is not None:
+                # Per-item remaining budgets come from the same cumulative
+                # sums that gated the accept.
+                for position, i in enumerate(taken):
+                    record(i, budget - float(cumulative[position]))
+            selected.extend(taken)
+            spent = float(cumulative[stop - 1])
+        if stop == order.size:
+            break
+        # Spend only grows and float addition is monotone, so any item that
+        # does not fit on its own now can never fit later.  Drop that whole
+        # cohort at once — including the item at ``stop``, which just
+        # failed — instead of skipping failures one at a time (quadratic
+        # under unit costs at large n).
+        tail_costs = order_costs[stop:]
+        keep = spent + tail_costs <= budget + 1e-9
+        order = order[stop:][keep]
+        order_costs = tail_costs[keep]
 
     if apply_safeguard:
-        if standalone_static is not None:
-            remaining_mask = costs <= budget + 1e-9
-            if selected:
-                remaining_mask[selected] = False
-            if remaining_mask.any():
-                best_single = int(
-                    np.argmax(np.where(remaining_mask, standalone_static, -np.inf))
-                )
-                chosen_total = sum(float(standalone_static[i]) for i in selected)
-                if float(standalone_static[best_single]) > chosen_total:
-                    return [best_single]
-        else:
-            remaining = [
-                i for i in range(n) if i not in selected_set and costs[i] <= budget + 1e-9
-            ]
-            if remaining:
-                # Benefits for the safeguard are standalone (with respect to
-                # the empty set), matching the knapsack 2-approximation
-                # argument.
-                standalone = {i: benefit((), i) for i in remaining}
-                best_single = max(remaining, key=lambda i: standalone[i])
-                chosen_total = sum(benefit((), i) for i in selected)
-                if standalone[best_single] > chosen_total:
-                    return [best_single]
+        return _safeguard(selected, costs, budget, static.__getitem__)
     return selected
 
 
@@ -355,6 +530,7 @@ class RandomSelector(ResumableSolver):
 
     def select_indices(self, database: UncertainDatabase, budget: float) -> List[int]:
         """One fresh random permutation walked until the budget is exhausted."""
+        check_budget(budget)
         order = [int(i) for i in self.rng.permutation(len(database))]
         return self._walk(order, database.costs, budget)
 
@@ -366,6 +542,7 @@ class RandomSelector(ResumableSolver):
         calling ``select_indices`` per budget draws a fresh permutation each
         time.
         """
+        check_budget(max_budget)
         costs = database.costs
         order = [int(i) for i in self.rng.permutation(len(database))]
         steps: List[SelectionStep] = []
@@ -392,21 +569,16 @@ class _StaticVarianceGreedy(ResumableSolver):
         initial_selection: Optional[Sequence[int]] = None,
         record_steps: Optional[List[SelectionStep]] = None,
     ) -> List[int]:
-        variances = database.variances
-        referenced = (
-            self.function.referenced_indices if self.function is not None else None
-        )
-
-        def benefit(_current: Sequence[int], index: int) -> float:
-            if referenced is not None and index not in referenced:
-                return 0.0
-            return float(variances[index])
-
-        return greedy_select(
+        benefits = database.variances
+        if self.function is not None:
+            # Objects the query function never reads have no benefit.
+            referenced = sorted(self.function.referenced_indices)
+            benefits = np.zeros(len(database))
+            benefits[referenced] = database.variances[referenced]
+        return modular_walk(
             database,
             budget,
-            benefit,
-            adaptive=False,
+            benefits,
             use_cost_ratio=self.use_cost_ratio,
             apply_safeguard=False,
             initial_selection=initial_selection,
@@ -441,11 +613,16 @@ class GreedyMinVar(ResumableSolver):
 
     The benefit of cleaning object ``i`` given the already-selected set ``T``
     is the actual reduction in expected variance, ``EV(T) - EV(T ∪ {i})``.
-    For claim-quality measures on discrete databases the Theorem 3.8
-    decomposition (with memoization) makes each evaluation cheap; for linear
-    claims the closed form is used and the algorithm degenerates to the
-    modular greedy of Section 3.2 — the linear path is fully vectorized
-    (``static_benefits``), so it scales to n = 10^6 (the BENCH_scale run).
+    Three paths, by claim:
+
+    * linear claims use the Lemma 3.1 closed form, so the algorithm
+      degenerates to the modular greedy of Section 3.2 — one vectorized
+      :func:`modular_walk`, which scales to n = 10^6 (the BENCH_scale run);
+    * claim-quality measures on discrete databases run the Algorithm-1 loop
+      on the Theorem 3.8 decomposition (:class:`DecomposedEVCalculator`,
+      memoized), where a pick re-scores only its term/pair neighbours;
+    * anything else runs the same loop over a per-candidate EV difference
+      (:func:`~repro.core.expected_variance.make_ev_calculator`).
     """
 
     name = "GreedyMinVar"
@@ -486,18 +663,10 @@ class GreedyMinVar(ResumableSolver):
     ) -> List[int]:
         if self.function.is_linear():
             weights = self.function.weights(len(database))
-            variances = database.variances
-            contributions = (weights**2) * variances
-
-            def benefit(_current: Sequence[int], index: int) -> float:
-                return float(contributions[index])
-
-            return greedy_select(
+            return modular_walk(
                 database,
                 budget,
-                benefit,
-                adaptive=False,
-                static_benefits=contributions,
+                (weights**2) * database.variances,
                 initial_selection=initial_selection,
                 record_steps=record_steps,
             )
@@ -506,127 +675,18 @@ class GreedyMinVar(ResumableSolver):
             calculator = self._resolve_calculator(database)
         except TypeError:
             calculator = None
-        if calculator is None:
+        selected = _prefix(initial_selection)
+        if calculator is not None:
+            engine = _DecomposedGains(calculator, selected)
+        else:
             ev = make_ev_calculator(database, self.function)
 
             def benefit(current: Sequence[int], index: int) -> float:
                 current_set = list(current)
                 return ev(current_set) - ev(current_set + [index])
 
-            return greedy_select(
-                database,
-                budget,
-                benefit,
-                adaptive=True,
-                initial_selection=initial_selection,
-                record_steps=record_steps,
-            )
-
-        return self._select_decomposed(
-            database, budget, calculator, initial_selection, record_steps
-        )
-
-    def _select_decomposed(
-        self,
-        database: UncertainDatabase,
-        budget: float,
-        calculator: DecomposedEVCalculator,
-        initial_selection: Optional[Sequence[int]] = None,
-        record_steps: Optional[List[SelectionStep]] = None,
-    ) -> List[int]:
-        """Exact greedy over a decomposed EV with neighbour-only gain updates.
-
-        Adding an object to the cleaned set can only change the marginal gain
-        of objects that share a perturbation term (or an interacting term
-        pair) with it, so after each selection only those neighbours are
-        re-scored.  Note that EV's submodularity (Lemma 3.5) means gains grow
-        as the selection does, so CELF-style lazy evaluation with stale upper
-        bounds would *not* be exact here — this invalidation scheme is.
-
-        A warm start (``initial_selection``) rebuilds exactly the state the
-        loop would have after selecting that prefix: gains conditioned on the
-        prefix (memoized by the calculator, so this is a cache read-back) and
-        the prefix's spend.
-        """
-        n = len(database)
-        costs = database.costs
-
-        # Object -> objects co-referenced with it in some term or term pair.
-        neighbours: List[Set[int]] = [set() for _ in range(n)]
-        for term in calculator.terms:
-            members = list(term.referenced_indices)
-            for i in members:
-                neighbours[i].update(members)
-        for k, l in calculator.interacting_pairs:
-            members = list(
-                calculator.terms[k].referenced_indices | calculator.terms[l].referenced_indices
-            )
-            for i in members:
-                neighbours[i].update(members)
-
-        # Standalone (empty-set) gains double as the safeguard inputs below.
-        # The calculator memoizes (and patches across rebased children) this
-        # vector, so a warm-started streaming re-solve pays for a handful of
-        # stale entries, not n.
-        standalone_gains = calculator.standalone_gains()
-        selected: List[int] = [int(i) for i in initial_selection] if initial_selection else []
-        selected_set: Set[int] = set(selected)
-        selected_frozen = frozenset(selected_set)
-        if selected:
-            gains = np.array(
-                [calculator.marginal_gain(selected_frozen, i) for i in range(n)], dtype=float
-            )
-        else:
-            gains = standalone_gains.copy()
-        feasible = np.ones(n, dtype=bool)
-        if selected:
-            feasible[selected] = False
-        spent = float(costs[selected].sum()) if selected else 0.0
-        # Feasibility is monotone (spent only grows), so a mask pruned in
-        # place replaces the O(n) candidate-list rebuild of each round, and
-        # the benefit/cost ratios are maintained incrementally (-inf marks
-        # selected or unaffordable objects) so each round is one argmax.
-        ratios = np.where(feasible, gains / costs, -np.inf)
-        while True:
-            pruned = feasible & ((spent + costs) > budget + 1e-9)
-            if pruned.any():
-                feasible &= ~pruned
-                ratios[pruned] = -np.inf
-            if not feasible.any():
-                break
-            best = int(np.argmax(ratios))
-            if record_steps is not None:
-                record_steps.append(
-                    SelectionStep(
-                        best,
-                        float(costs[best]),
-                        float(gains[best]),
-                        float(budget - (spent + costs[best])),
-                    )
-                )
-            selected.append(best)
-            selected_set.add(best)
-            selected_frozen = selected_frozen | {best}
-            feasible[best] = False
-            ratios[best] = -np.inf
-            spent += costs[best]
-            for i in neighbours[best]:
-                if i not in selected_set:
-                    gains[i] = calculator.marginal_gain(selected_frozen, i)
-                    if feasible[i]:
-                        ratios[i] = gains[i] / costs[i]
-
-        # Single-item safeguard (lines 5-8 of Algorithm 1), using standalone gains.
-        remaining_mask = np.ones(n, dtype=bool)
-        if selected:
-            remaining_mask[selected] = False
-        remaining_mask &= costs <= budget + 1e-9
-        if remaining_mask.any():
-            best_single = int(np.argmax(np.where(remaining_mask, standalone_gains, -np.inf)))
-            chosen_total = float(standalone_gains[selected].sum()) if selected else 0.0
-            if standalone_gains[best_single] > chosen_total:
-                return [best_single]
-        return selected
+            engine = _PerCandidateGains(benefit, selected)
+        return _greedy_loop(engine, database, budget, selected, record_steps=record_steps)
 
 
 @register_solver
@@ -639,13 +699,14 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
     hurt, the behaviour Figure 12 documents; below that a gain is summation
     noise on a saturated probability).
 
-    A linear ``f`` on an all-discrete database (``method`` ``"auto"`` or
-    ``"convolution"``) or an all-normal one (``"auto"`` or ``"normal"``)
-    runs on a :class:`~repro.core.surprise.SurpriseEngine`: each step scores
-    every candidate against the selected prefix in one vectorized pass, and
-    a pick costs at most one support merge.  Everything else — non-linear claims,
-    mixed databases, ``"exact"`` and ``"monte_carlo"`` — runs
-    :func:`greedy_select` over the per-set calculator of
+    Both paths run the Algorithm-1 loop.  A linear ``f`` on an all-discrete
+    database (``method`` ``"auto"`` or ``"convolution"``) or an all-normal
+    one (``"auto"`` or ``"normal"``) runs on a
+    :class:`~repro.core.surprise.SurpriseEngine`: each step scores every
+    candidate against the selected prefix in one vectorized pass, and a
+    pick costs at most one support merge.  Everything else — non-linear
+    claims, mixed databases, ``"exact"`` and ``"monte_carlo"`` — scores one
+    candidate per call through the per-set calculator of
     :func:`~repro.core.surprise.make_surprise_calculator`.
 
     Both paths cache per database *identity* (a weakly keyed dict per
@@ -685,77 +746,22 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
         initial_selection: Optional[Sequence[int]] = None,
         record_steps: Optional[List[SelectionStep]] = None,
     ) -> List[int]:
-        """Algorithm 1 on the surprise engine, or on the per-set calculator.
-
-        Per engine round: one vectorized pass scores every candidate against
-        the prefix, one argmax over the gain/cost ratios picks (first index
-        on ties), and the pick is merged into the prefix.  A warm start
-        replays the prefix through the engine and continues the same loop.
-        """
+        """Algorithm 1 on the surprise engine, or on the per-set calculator."""
         cache = self._cache_for(database)
         if _ENGINE_BASE not in cache:
             cache[_ENGINE_BASE] = SurpriseBase.build(database, self.function, self.method)
         base = cache[_ENGINE_BASE]
-        if base is None:
-            return self._run_per_set(database, budget, cache, initial_selection, record_steps)
+        selected = _prefix(initial_selection)
+        if base is not None:
+            engine = _SurpriseGains(base, self.tau, selected)
+        else:
+            engine = _PerCandidateGains(self._per_set_benefit(database, cache), selected)
+        return _greedy_loop(
+            engine, database, budget, selected, stop_when_no_gain=True, record_steps=record_steps
+        )
 
-        n = len(database)
-        costs = database.costs
-        tau = self.tau
-        engine = SurpriseEngine(base)
-        # Empty-prefix probabilities double as the single-item safeguard inputs.
-        standalone = engine.probabilities(tau)
-        selected: List[int] = [int(i) for i in initial_selection] if initial_selection else []
-        for index in selected:
-            engine.condition_on(index)
-        scores = engine.probabilities(tau) if selected else standalone
-        feasible = np.ones(n, dtype=bool)
-        if selected:
-            feasible[selected] = False
-        spent = float(costs[selected].sum()) if selected else 0.0
-        while True:
-            feasible &= (spent + costs) <= budget + 1e-9
-            if not feasible.any():
-                break
-            gains = scores - engine.probability(tau)
-            best = int(np.argmax(np.where(feasible, gains / costs, -np.inf)))
-            gain = float(gains[best])
-            if gain <= MAXPR_MIN_GAIN:
-                break
-            if record_steps is not None:
-                record_steps.append(
-                    SelectionStep(
-                        best, float(costs[best]), gain, float(budget - (spent + costs[best]))
-                    )
-                )
-            selected.append(best)
-            feasible[best] = False
-            spent += costs[best]
-            engine.condition_on(best)
-            scores = engine.probabilities(tau)
-
-        # Single-item safeguard (lines 5-8 of Algorithm 1), standalone probabilities.
-        remaining_mask = costs <= budget + 1e-9
-        if selected:
-            remaining_mask[selected] = False
-        if remaining_mask.any():
-            best_single = int(np.argmax(np.where(remaining_mask, standalone, -np.inf)))
-            # A left fold in pick order, like greedy_select's, so a tie with
-            # the best single object breaks the same way on both paths.
-            chosen_total = sum(float(standalone[i]) for i in selected)
-            if standalone[best_single] > chosen_total:
-                return [best_single]
-        return selected
-
-    def _run_per_set(
-        self,
-        database: UncertainDatabase,
-        budget: float,
-        cache: dict,
-        initial_selection: Optional[Sequence[int]] = None,
-        record_steps: Optional[List[SelectionStep]] = None,
-    ) -> List[int]:
-        """:func:`greedy_select` with every evaluated set's probability memoized."""
+    def _per_set_benefit(self, database: UncertainDatabase, cache: dict) -> BenefitFunction:
+        """``Pr(T + i) - Pr(T)`` with every evaluated set's probability memoized."""
         probability = make_surprise_calculator(
             database,
             self.function,
@@ -775,15 +781,7 @@ class GreedyMaxPr(_DatabaseKeyedCache, ResumableSolver):
             current_tuple = tuple(current)
             return pr(current_tuple + (index,)) - pr(current_tuple)
 
-        return greedy_select(
-            database,
-            budget,
-            benefit,
-            adaptive=True,
-            stop_when_no_gain=True,
-            initial_selection=initial_selection,
-            record_steps=record_steps,
-        )
+        return benefit
 
 
 @register_solver
@@ -800,10 +798,11 @@ class GreedyDep(ResumableSolver):
     (statistically exact) or the marginal variance of the objects left
     unclean (the formulation the paper's Theorem 3.9 derivation uses).
 
-    Each step runs on the model's conditioning engine: one rank-one downdate
-    plus one vectorized gains pass.  For dense models that is the
-    :class:`~repro.uncertainty.correlation.ConditionalGaussian` (O(n^2) per
-    step); for models built with
+    The Algorithm-1 loop runs on the model's conditioning engine: a pick is
+    one rank-one downdate plus one vectorized gains pass over every
+    candidate (correlations can move any gain).  For dense models that is
+    the :class:`~repro.uncertainty.correlation.ConditionalGaussian` (O(n^2)
+    per step); for models built with
     :meth:`GaussianWorldModel.from_structure
     <repro.uncertainty.correlation.GaussianWorldModel.from_structure>` the
     dispatch in ``model.engine`` hands back the matching structured engine
@@ -811,7 +810,9 @@ class GreedyDep(ResumableSolver):
     O(bandwidth^2) / O(block^2) / O(n r) with O(n * bandwidth)-class memory —
     the n = 10^5 dependency runs in BENCH_scale.json go through exactly this
     loop, unchanged.  Both ``conditional`` modes are covered (the marginal
-    mode maintains the same matvec under row/column zeroing).
+    mode maintains the same matvec under row/column zeroing).  A warm start
+    replays the prefix through the engine — k downdates — and continues the
+    same loop.
     """
 
     name = "GreedyDep"
@@ -844,70 +845,13 @@ class GreedyDep(ResumableSolver):
         initial_selection: Optional[Sequence[int]] = None,
         record_steps: Optional[List[SelectionStep]] = None,
     ) -> List[int]:
-        """Algorithm 1 on the rank-one conditioning engine.
-
-        Per round: one argmax over incrementally maintained benefit/cost
-        ratios, one O(n^2) downdate, one vectorized re-score of *all*
-        candidates (correlations can move any candidate's gain, so there is
-        no neighbour structure to exploit as in the decomposed-EV greedy).
-        A warm start replays the prefix through the engine — k downdates —
-        and continues the identical loop.
-        """
-        n = len(database)
-        costs = database.costs
+        """Algorithm 1 on the rank-one conditioning engine."""
         if self.warm_engine is not None:
             engine = self.warm_engine.copy()
         else:
-            weights = self.function.weights(n)
+            weights = self.function.weights(len(database))
             engine = self.model.engine(weights, conditional=self.conditional)
-
-        # Empty-set gains double as the single-item safeguard inputs below.
-        standalone_gains = engine.gains()
-        selected: List[int] = [int(i) for i in initial_selection] if initial_selection else []
-        for index in selected:
-            # A warm engine may already be conditioned on prefix members
-            # (out-of-band reveals that intersect the kept prefix).
-            if not engine.is_cleaned(index):
-                engine.condition_on(index)
-        gains = engine.gains() if selected else standalone_gains.copy()
-        feasible = np.ones(n, dtype=bool)
-        if selected:
-            feasible[selected] = False
-        spent = float(costs[selected].sum()) if selected else 0.0
-        ratios = np.where(feasible, gains / costs, -np.inf)
-        while True:
-            pruned = feasible & ((spent + costs) > budget + 1e-9)
-            if pruned.any():
-                feasible &= ~pruned
-                ratios[pruned] = -np.inf
-            if not feasible.any():
-                break
-            best = int(np.argmax(ratios))
-            if record_steps is not None:
-                record_steps.append(
-                    SelectionStep(
-                        best,
-                        float(costs[best]),
-                        float(gains[best]),
-                        float(budget - (spent + costs[best])),
-                    )
-                )
-            selected.append(best)
-            feasible[best] = False
-            spent += costs[best]
-            if not engine.is_cleaned(best):
-                engine.condition_on(best)
-            gains = engine.gains()
-            ratios = np.where(feasible, gains / costs, -np.inf)
-
-        # Single-item safeguard (lines 5-8 of Algorithm 1), standalone gains.
-        remaining_mask = np.ones(n, dtype=bool)
-        if selected:
-            remaining_mask[selected] = False
-        remaining_mask &= costs <= budget + 1e-9
-        if remaining_mask.any():
-            best_single = int(np.argmax(np.where(remaining_mask, standalone_gains, -np.inf)))
-            chosen_total = float(standalone_gains[selected].sum()) if selected else 0.0
-            if standalone_gains[best_single] > chosen_total:
-                return [best_single]
-        return selected
+        selected = _prefix(initial_selection)
+        return _greedy_loop(
+            _GaussianGains(engine, selected), database, budget, selected, record_steps=record_steps
+        )

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.claims.functions import ClaimFunction
-from repro.core.greedy import greedy_select
+from repro.core.greedy import modular_walk
 from repro.core.problems import CleaningPlan
 from repro.core.solver import ResumableSolver, SelectionStep, register_solver
 from repro.uncertainty.database import UncertainDatabase
@@ -163,15 +163,10 @@ class GreedyPartialMinVar(ResumableSolver):
                 for i in range(len(database))
             ]
         )
-
-        def benefit(_current: Sequence[int], index: int) -> float:
-            return float(removable[index])
-
-        return greedy_select(
+        return modular_walk(
             database,
             budget,
-            benefit,
-            adaptive=False,
+            removable,
             initial_selection=initial_selection,
             record_steps=record_steps,
         )

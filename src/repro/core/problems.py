@@ -14,9 +14,27 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.claims.functions import ClaimFunction
+from repro.core.surprise import finite_tau
 from repro.uncertainty.database import UncertainDatabase
 
-__all__ = ["MinVarProblem", "MaxPrProblem", "CleaningPlan", "budget_from_fraction"]
+__all__ = [
+    "MinVarProblem",
+    "MaxPrProblem",
+    "CleaningPlan",
+    "budget_from_fraction",
+    "check_budget",
+]
+
+
+def check_budget(budget: float) -> None:
+    """Raise ``ValueError`` unless ``budget`` is a number >= 0.
+
+    A NaN budget makes every affordability test false, so a greedy loop
+    pruning "cost > budget" would clean every object and one testing
+    "cost <= budget" none; either is silent, so NaN is refused outright.
+    """
+    if not budget >= 0:
+        raise ValueError(f"budget must be nonnegative, got {budget!r}")
 
 
 def budget_from_fraction(database: UncertainDatabase, fraction: float) -> float:
@@ -88,8 +106,7 @@ class MinVarProblem:
     budget: float
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        check_budget(self.budget)
 
     @property
     def n_objects(self) -> int:
@@ -121,9 +138,8 @@ class MaxPrProblem:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.tau < 0:
+        check_budget(self.budget)
+        if finite_tau(self.tau) < 0:
             raise ValueError("tau must be nonnegative")
 
     @property

@@ -52,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.core.problems import CleaningPlan
+from repro.core.problems import CleaningPlan, check_budget
 from repro.uncertainty.database import UncertainDatabase
 
 __all__ = [
@@ -66,7 +66,7 @@ __all__ = [
     "available_solvers",
 ]
 
-# Budget-feasibility slack shared with the greedy loops (see greedy_select).
+# Budget-feasibility slack shared with the greedy loops.
 _BUDGET_EPS = 1e-9
 
 
@@ -155,6 +155,7 @@ class SelectionTrace:
 
     def indices_at(self, budget: float) -> List[int]:
         """The selection a from-scratch run at ``budget`` would produce."""
+        check_budget(budget)
         if budget > self.max_budget + _BUDGET_EPS:
             raise ValueError(
                 f"budget {budget:g} exceeds the trace's max budget {self.max_budget:g}; "
@@ -252,7 +253,8 @@ class ResumableSolver(Solver):
     when given a previously recorded prefix.  ``select_indices`` and
     ``trace`` are derived from those two calls, which is what makes the
     anytime-trace guarantee hold by construction — the resume path *is* the
-    solver's own loop.
+    solver's own loop.  Both refuse a NaN or negative budget with
+    ``ValueError``.
     """
 
     supports_trace = True
@@ -268,9 +270,11 @@ class ResumableSolver(Solver):
 
     def select_indices(self, database: UncertainDatabase, budget: float) -> List[int]:
         """A from-scratch run of the solver's loop at the given budget."""
+        check_budget(budget)
         return self._run(database, budget)
 
     def trace(self, database: UncertainDatabase, max_budget: float) -> SelectionTrace:
+        check_budget(max_budget)
         steps: List[SelectionStep] = []
         self._run(database, max_budget, record_steps=steps)
 

@@ -118,8 +118,9 @@ def surprise_probability_monte_carlo(
     Draws every cleaning outcome in one vectorized
     ``distribution.sample(rng, size=samples)`` call per cleaned column and
     evaluates the whole ``(samples, n)`` matrix with one ``evaluate_batch``
-    call.
+    call.  ``samples`` must be an integer >= 1.
     """
+    check_sample_count("samples", samples)
     cleaned_set = sorted(set(int(i) for i in cleaned))
     if not cleaned_set:
         return 0.0
@@ -435,18 +436,17 @@ def finite_tau(tau: float) -> float:
     return value
 
 
+def check_sample_count(name: str, value: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1 (``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def check_surprise_options(method: str, monte_carlo_samples: int) -> None:
     """Reject an unknown ``method`` or a sample count that is not an integer >= 1."""
     if method not in SURPRISE_METHODS:
         raise ValueError(f"method must be one of {list(SURPRISE_METHODS)}, got {method!r}")
-    if (
-        isinstance(monte_carlo_samples, bool)
-        or not isinstance(monte_carlo_samples, numbers.Integral)
-        or monte_carlo_samples < 1
-    ):
-        raise ValueError(
-            f"monte_carlo_samples must be an integer >= 1, got {monte_carlo_samples!r}"
-        )
+    check_sample_count("monte_carlo_samples", monte_carlo_samples)
 
 
 def make_surprise_calculator(

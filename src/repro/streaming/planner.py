@@ -64,6 +64,7 @@ from repro.core.expected_variance import (
     linear_expected_variance,
 )
 from repro.core.greedy import GreedyDep, GreedyMinVar
+from repro.core.problems import check_budget
 from repro.core.solver import SelectionStep
 from repro.resilience.degradation import record_degradation
 from repro.resilience.faults import maybe_corrupt_event
@@ -161,6 +162,7 @@ class StreamingPlanner:
         self.track = track
         self.database = database
         self.function = function
+        check_budget(budget)
         self.budget = float(budget)
         self.conditional = bool(conditional)
         self.discretize_points = int(discretize_points)
@@ -459,10 +461,7 @@ class StreamingPlanner:
         calculator = self._calculator
         affected: Set[int] = set(changed)
         for index in changed:
-            for k in calculator._terms_by_object.get(index, ()):
-                affected |= calculator.terms[k].referenced_indices
-            for pair in calculator._pairs_by_object.get(index, ()):
-                affected |= calculator._pair_union_refs[pair]
+            affected |= calculator.neighbours(index)
         costs = self.database.costs
         kept: List[SelectionStep] = []
         selected: frozenset = _EMPTY

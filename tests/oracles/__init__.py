@@ -10,9 +10,9 @@ ground truth that shares no machinery with the fast path:
   entropy by per-world enumeration;
 * :mod:`oracles.knapsack` — the knapsack dynamic programs with per-capacity
   Python loops;
-* :mod:`oracles.policies` — GreedyDep, GreedyMaxPr, AdaptiveDep and
-  AdaptiveMaxPr with every candidate re-scored from scratch each step, and
-  GreedyMaxPr's per-set ``greedy_select`` loop;
+* :mod:`oracles.policies` — Algorithm 1 as a per-candidate loop
+  (``greedy_reference``), and GreedyDep, GreedyMaxPr, AdaptiveDep and
+  AdaptiveMaxPr with every candidate re-scored from scratch each step;
 * :mod:`oracles.sweeps` — the budget sweep as one independent solve per
   budget.
 """

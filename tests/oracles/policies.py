@@ -1,10 +1,11 @@
-"""From-scratch reference loops for the dependency-aware, MaxPr and adaptive policies.
+"""From-scratch reference loops for the greedy, dependency-aware, MaxPr and adaptive policies.
 
-The production policies keep a conditioning engine, overlay database or
-surprise engine alive across steps.  These loops instead recompute every
-candidate's objective from scratch each step — one Schur complement or one
+The production policies keep a gains engine, overlay database or surprise
+engine alive across steps.  These loops instead recompute every candidate's
+objective from scratch each step — one benefit call, Schur complement or
 surprise probability per candidate — so a shared-state bug in the fast path
-cannot hide in the reference.
+cannot hide in the reference.  :func:`greedy_reference` is Algorithm 1 as a
+plain per-candidate loop; it shares no code with ``repro.core.greedy``.
 """
 
 from __future__ import annotations
@@ -12,20 +13,20 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from repro.claims.functions import ClaimFunction
 from repro.core.adaptive import AdaptiveRun, AdaptiveStep, RevealOracle
-from repro.core.greedy import greedy_select
 from repro.core.solver import SelectionStep
 from repro.core.surprise import make_surprise_calculator
 from repro.uncertainty.correlation import GaussianWorldModel
 from repro.uncertainty.database import UncertainDatabase
 
 __all__ = [
+    "greedy_reference",
     "variance_after",
     "DepBenefit",
     "greedy_dep",
@@ -35,6 +36,54 @@ __all__ = [
     "adaptive_dep",
     "adaptive_maxpr",
 ]
+
+
+def greedy_reference(
+    database: UncertainDatabase,
+    budget: float,
+    benefit: Callable[[Sequence[int], int], float],
+    stop_when_no_gain: bool = False,
+    apply_safeguard: bool = True,
+    initial_selection: Optional[Sequence[int]] = None,
+    record_steps: Optional[List[SelectionStep]] = None,
+) -> List[int]:
+    """Algorithm 1 with ``benefit(T, i)`` called per affordable candidate per step.
+
+    Each step takes the first candidate (ascending index) of the best
+    ``benefit / cost`` and calls ``benefit`` again for the recorded gain or
+    the stop test (``gain <= 1e-12``).  The safeguard then compares the best
+    affordable single object's standalone benefit ``benefit((), i)`` with
+    the selection's standalone benefits summed in pick order.  A warm start
+    from ``initial_selection`` continues as if those objects had been picked.
+    """
+    costs = database.costs
+    selected: List[int] = [int(i) for i in initial_selection] if initial_selection else []
+    spent = float(costs[selected].sum()) if selected else 0.0
+    while True:
+        candidates = _affordable(database, selected, spent, budget)
+        if not candidates:
+            break
+        best = max(candidates, key=lambda i: benefit(selected, i) / costs[i])
+        if stop_when_no_gain or record_steps is not None:
+            gain = benefit(selected, best)
+            if stop_when_no_gain and gain <= 1e-12:
+                break
+            if record_steps is not None:
+                record_steps.append(
+                    SelectionStep(
+                        best, float(costs[best]), float(gain), float(budget - (spent + costs[best]))
+                    )
+                )
+        selected.append(best)
+        spent += costs[best]
+    if apply_safeguard:
+        remaining = _affordable(database, selected, 0.0, budget)
+        if remaining:
+            standalone = {i: benefit((), i) for i in remaining}
+            best_single = max(remaining, key=lambda i: standalone[i])
+            if standalone[best_single] > sum(benefit((), i) for i in selected):
+                return [best_single]
+    return selected
 
 
 def variance_after(
@@ -74,7 +123,7 @@ def variance_after(
 
 
 class DepBenefit:
-    """GreedyDep's benefit ``Var(T) - Var(T + i)`` for ``greedy_select``.
+    """GreedyDep's benefit ``Var(T) - Var(T + i)`` for :func:`greedy_reference`.
 
     Every distinct set's variance is one :func:`variance_after` call, cached
     for the run; :attr:`evaluations` counts the benefit calls.
@@ -109,12 +158,8 @@ def greedy_dep(
     record_steps: Optional[List[SelectionStep]] = None,
 ) -> List[int]:
     """GreedyDep as Algorithm 1 with a from-scratch benefit per candidate per step."""
-    return greedy_select(
-        database,
-        budget,
-        DepBenefit(function, model, conditional),
-        adaptive=True,
-        record_steps=record_steps,
+    return greedy_reference(
+        database, budget, DepBenefit(function, model, conditional), record_steps=record_steps
     )
 
 
@@ -183,7 +228,7 @@ def greedy_maxpr(
 
     Every step recomputes each affordable candidate's surprise probability
     from scratch — the normal closed form, or brute-force enumeration of the
-    discrete joint support — with no cache and no ``greedy_select``.  It
+    discrete joint support — with no cache and no shared loop.  It
     stops once the best ratio's gain is at most 1e-12, then applies the
     single-item safeguard on standalone probabilities.  The discrete
     enumeration has no central-limit switch, so keep its instances small.
@@ -221,17 +266,26 @@ def greedy_maxpr(
 
 
 class SurpriseBenefit:
-    """GreedyMaxPr's per-set benefit ``Pr(T + i) - Pr(T)`` for ``greedy_select``.
+    """GreedyMaxPr's per-set benefit ``Pr(T + i) - Pr(T)`` for :func:`greedy_reference`.
 
     Every distinct set's probability is one call of the per-set calculator
     :func:`~repro.core.surprise.make_surprise_calculator` returns, memoized
     for the benefit's lifetime so several budgets can share it.  On the
     databases the surprise engine serves, this per-set loop is its
-    reference.
+    reference.  ``calculator_options`` (``rng``, ``monte_carlo_samples``,
+    ``method``) pass through to the calculator.
     """
 
-    def __init__(self, function: ClaimFunction, database: UncertainDatabase, tau: float = 0.0):
-        self.probability = make_surprise_calculator(database, function, tau=tau)
+    def __init__(
+        self,
+        function: ClaimFunction,
+        database: UncertainDatabase,
+        tau: float = 0.0,
+        **calculator_options,
+    ):
+        self.probability = make_surprise_calculator(
+            database, function, tau=tau, **calculator_options
+        )
         self._probabilities: dict = {}
 
     def set_probability(self, indices: Sequence[int]) -> float:
@@ -251,13 +305,8 @@ def greedy_maxpr_per_set(
     record_steps: Optional[List[SelectionStep]] = None,
 ) -> List[int]:
     """GreedyMaxPr as Algorithm 1 over the memoized per-set benefit."""
-    return greedy_select(
-        database,
-        budget,
-        benefit,
-        adaptive=True,
-        stop_when_no_gain=True,
-        record_steps=record_steps,
+    return greedy_reference(
+        database, budget, benefit, stop_when_no_gain=True, record_steps=record_steps
     )
 
 

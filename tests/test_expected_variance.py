@@ -239,6 +239,22 @@ class TestMonteCarloEV:
         claim = LinearClaim({0: 1.0, 1: 1.0})
         assert expected_variance_monte_carlo(db, claim, [0, 1], rng) == 0.0
 
+    @pytest.mark.parametrize(
+        "option, samples",
+        [
+            ("outer_samples", 0),
+            ("outer_samples", 1.5),
+            ("inner_samples", 0),
+            ("inner_samples", False),
+        ],
+    )
+    def test_sample_counts_must_be_positive_integers(self, rng, option, samples):
+        # outer_samples=0 used to divide by zero; inner_samples=0 returned NaN.
+        with pytest.raises(ValueError, match=option):
+            expected_variance_monte_carlo(
+                two_object_db(), LinearClaim({0: 1.0, 1: 1.0}), [0], rng, **{option: samples}
+            )
+
 
 class TestMeasureMean:
     def test_linear_fast_path_matches_enumeration(self, six_object_db):

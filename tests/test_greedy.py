@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import policies as oracle
 from repro.claims.functions import LinearClaim, SumClaim, ThresholdClaim, WindowSumClaim
 from repro.claims.perturbations import PerturbationSet
 from repro.claims.quality import Duplicity
+from repro.core.adaptive import AdaptiveDep, AdaptiveMaxPr, AdaptiveMinVar, ground_truth_oracle
+from repro.core.entropy import GreedyMinEntropy, expected_entropy
 from repro.core.expected_variance import (
     DecomposedEVCalculator,
     expected_variance_exact,
@@ -19,8 +22,12 @@ from repro.core.greedy import (
     GreedyNaiveCostBlind,
     RandomSelector,
     greedy_select,
+    modular_walk,
 )
 from repro.core.surprise import surprise_probability_exact
+from repro.datasets.synthetic import generate_urx
+from repro.experiments.workloads import uniqueness_workload
+from repro.streaming import StreamingPlanner
 from repro.uncertainty.correlation import GaussianWorldModel, decaying_covariance
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import DiscreteDistribution, NormalSpec
@@ -59,7 +66,7 @@ class TestGreedyTemplate:
             ]
         )
         # Same benefit, very different costs: with a budget of 1 only b fits.
-        selected = greedy_select(db, 1.0, lambda T, i: 1.0, adaptive=False)
+        selected = modular_walk(db, 1.0, np.ones(2))
         assert selected == [1]
 
     def test_safeguard_replaces_poor_greedy_choice(self):
@@ -70,10 +77,7 @@ class TestGreedyTemplate:
                 UncertainObject("big", 0.0, DiscreteDistribution.point_mass(0.0), cost=2.0),
             ]
         )
-        benefits = {0: 0.1, 1: 10.0}
-        selected = greedy_select(
-            db, 2.0, lambda T, i: benefits[i], adaptive=False, apply_safeguard=True
-        )
+        selected = modular_walk(db, 2.0, np.array([0.1, 10.0]), apply_safeguard=True)
         assert selected == [1]
 
     def test_without_safeguard_keeps_ratio_order(self):
@@ -83,17 +87,14 @@ class TestGreedyTemplate:
                 UncertainObject("big", 0.0, DiscreteDistribution.point_mass(0.0), cost=2.0),
             ]
         )
-        benefits = {0: 0.1, 1: 10.0}
-        selected = greedy_select(
-            db, 2.0, lambda T, i: benefits[i], adaptive=False, apply_safeguard=False
-        )
+        selected = modular_walk(db, 2.0, np.array([0.1, 10.0]), apply_safeguard=False)
         assert selected == [0]
 
     def test_stop_when_no_gain(self, small_discrete_database):
         db = small_discrete_database
         gains = {i: 1.0 if i < 2 else 0.0 for i in range(len(db))}
         selected = greedy_select(
-            db, db.total_cost, lambda T, i: gains[i], adaptive=True, stop_when_no_gain=True,
+            db, db.total_cost, lambda T, i: gains[i], stop_when_no_gain=True,
             apply_safeguard=False,
         )
         assert set(selected) == {0, 1}
@@ -320,3 +321,181 @@ class TestGreedyDep:
         model = GaussianWorldModel.from_database(normal_database, gamma=0.5)
         selected = GreedyDep(claim, model, conditional=False).select_indices(normal_database, 5.0)
         assert len(selected) >= 1
+
+
+def _uniqueness(n: int, seed: int):
+    workload = uniqueness_workload(generate_urx(n, seed), window_width=3, gamma=100.0)
+    return workload.database, workload.query_function
+
+
+def _small_discrete(seed: int, n: int = 7) -> UncertainDatabase:
+    rng = np.random.default_rng(seed)
+    objects = []
+    for i in range(n):
+        values = rng.choice(np.arange(1, 20), size=int(rng.integers(2, 4)), replace=False)
+        masses = rng.uniform(0.2, 1.0, values.size)
+        distribution = DiscreteDistribution(values.astype(float), masses)
+        cost = float(rng.uniform(1, 4))
+        objects.append(UncertainObject(f"o{i}", float(distribution.mean), distribution, cost=cost))
+    return UncertainDatabase(objects)
+
+
+def _decomposed_minvar():
+    database, measure = _uniqueness(40, 3)
+    calculator = DecomposedEVCalculator(database, measure)  # its own memo
+    return database, lambda: GreedyMinVar(measure), lambda: calculator.marginal_gain, False
+
+
+def _generic_ev_minvar():
+    database = _small_discrete(5)
+    claim = ThresholdClaim(SumClaim(range(5)), threshold=45.0, op=">=")
+
+    def benefit(current, index):
+        return expected_variance_exact(database, claim, list(current)) - expected_variance_exact(
+            database, claim, list(current) + [index]
+        )
+
+    return database, lambda: GreedyMinVar(claim), lambda: benefit, False
+
+
+def _min_entropy():
+    database = _small_discrete(6)
+    claim = ThresholdClaim(SumClaim(range(4)), threshold=35.0, op=">=")
+
+    def benefit(current, index):
+        return expected_entropy(database, claim, current) - expected_entropy(
+            database, claim, list(current) + [index]
+        )
+
+    return database, lambda: GreedyMinEntropy(claim), lambda: benefit, False
+
+
+def _monte_carlo_maxpr():
+    # Fresh, identically seeded generators on both sides: the two loops
+    # must evaluate the same sets in the same order to draw the same numbers.
+    database = _small_discrete(7, n=9)
+    claim = LinearClaim.from_vector(np.linspace(0.5, 1.5, 9))
+    options = dict(method="monte_carlo", monte_carlo_samples=300)
+
+    def solver():
+        return GreedyMaxPr(claim, tau=4.0, rng=np.random.default_rng(11), **options)
+
+    def benefit():
+        rng = np.random.default_rng(11)
+        return oracle.SurpriseBenefit(claim, database, 4.0, rng=rng, **options)
+
+    return database, solver, benefit, True
+
+
+class TestMatchesReferenceLoop:
+    """Every ``_greedy_loop`` engine against the per-candidate reference loop.
+
+    Selections and step logs (index, gain, remaining budget) must agree
+    exactly at three budgets, from scratch and warm-started from the first
+    half of a recorded trace.
+    """
+
+    CASES = {
+        "decomposed-minvar": _decomposed_minvar,
+        "generic-ev-minvar": _generic_ev_minvar,
+        "min-entropy": _min_entropy,
+        "monte-carlo-maxpr": _monte_carlo_maxpr,
+    }
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_selections_and_steps_match(self, case, warm):
+        database, make_solver, make_benefit, stops = self.CASES[case]()
+        total = database.total_cost
+        trace = make_solver().trace(database, total * 0.6)
+        for fraction in (0.15, 0.3, 0.6):
+            budget = total * fraction
+            prefix = trace.prefix_at(budget / 2)[0] if warm else []
+            steps, reference_steps = [], []
+            selected = make_solver()._run(
+                database, budget, initial_selection=prefix, record_steps=steps
+            )
+            expected = oracle.greedy_reference(
+                database,
+                budget,
+                make_benefit(),
+                stop_when_no_gain=stops,
+                initial_selection=prefix,
+                record_steps=reference_steps,
+            )
+            assert selected == expected
+            assert steps == reference_steps
+
+
+class TestBudgetIsChecked:
+    """A NaN or negative budget raises instead of cleaning everything or nothing."""
+
+    @staticmethod
+    def _families():
+        database, measure = _uniqueness(20, 2)
+        normal = UncertainDatabase(
+            [
+                UncertainObject(f"v{i}", 50.0, NormalSpec(48.0, 3.0 + i), cost=1.0 + i % 3)
+                for i in range(8)
+            ]
+        )
+        claim = LinearClaim.from_vector(np.linspace(0.5, 1.5, 8))
+        model = GaussianWorldModel.from_database(normal, gamma=0.5)
+        reveal = ground_truth_oracle(normal.current_values)
+        return {
+            "greedy-dep": (GreedyDep(claim, model), normal),
+            "decomposed-minvar": (GreedyMinVar(measure), database),
+            "surprise-maxpr": (GreedyMaxPr(claim, tau=1.0), normal),
+            "per-candidate": (GreedyMinEntropy(LinearClaim({0: 1.0, 1: 1.0})), _small_discrete(1)),
+            "modular-walk": (GreedyMinVar(claim), normal),
+            "random": (RandomSelector(np.random.default_rng(0)), normal),
+            "adaptive-dep": (AdaptiveDep(claim, model), normal, reveal),
+            "adaptive-minvar": (
+                AdaptiveMinVar(measure),
+                database,
+                ground_truth_oracle(database.current_values),
+            ),
+            "adaptive-maxpr": (AdaptiveMaxPr(claim, tau=1.0), normal, reveal),
+        }
+
+    FAMILIES = (
+        "greedy-dep",
+        "decomposed-minvar",
+        "surprise-maxpr",
+        "per-candidate",
+        "modular-walk",
+        "random",
+        "adaptive-dep",
+        "adaptive-minvar",
+        "adaptive-maxpr",
+    )
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_select_indices(self, family, budget):
+        solver, database, *reveal = self._families()[family]
+        with pytest.raises(ValueError, match="budget"):
+            solver.select_indices(database, budget)
+        if reveal:
+            with pytest.raises(ValueError, match="budget"):
+                solver.run(database, budget, reveal[0])
+        else:
+            with pytest.raises(ValueError, match="budget"):
+                solver.trace(database, budget)
+
+    @pytest.mark.parametrize("family", FAMILIES[:6])
+    def test_trace_read_back(self, family):
+        solver, database = self._families()[family]
+        trace = solver.trace(database, database.total_cost * 0.5)
+        with pytest.raises(ValueError, match="budget"):
+            trace.indices_at(float("nan"))
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0], ids=["nan", "negative"])
+    def test_loop_functions_and_planner(self, budget):
+        database, measure = _uniqueness(20, 2)
+        with pytest.raises(ValueError, match="budget"):
+            greedy_select(database, budget, lambda T, i: 1.0)
+        with pytest.raises(ValueError, match="budget"):
+            modular_walk(database, budget, np.ones(len(database)))
+        with pytest.raises(ValueError, match="budget"):
+            StreamingPlanner(database, measure, budget=budget)

@@ -14,7 +14,9 @@ from repro import kernels
 from repro.claims.functions import LinearClaim
 from repro.core.adaptive import AdaptiveMaxPr
 from repro.core.expected_variance import weighted_sum_pmf
-from repro.core.greedy import GreedyDep, GreedyMaxPr
+from repro.core.greedy import GreedyDep, GreedyMaxPr, GreedyMinVar
+from repro.datasets.synthetic import generate_urx
+from repro.experiments.workloads import uniqueness_workload
 from repro.uncertainty.correlation import GaussianWorldModel, banded_covariance
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import DiscreteDistribution
@@ -153,3 +155,62 @@ def test_kernel_probes_see_every_engine_call():
     assert not unseen, f"kernel probes saw no call from {unseen}"
     missing = [name for name in spans.KERNELS if name not in seen]
     assert not missing, f"kernel probes saw no call to {missing}"
+
+
+def _record(spans, names, run):
+    """Spans and counts the probes named ``names`` record while ``run()`` runs."""
+    recorder = spans.SpanRecorder()
+    uninstall = spans.install(recorder, [p for p in spans.PROBES if p[1] in names])
+    try:
+        run()
+    finally:
+        uninstall()
+    return recorder.spans
+
+
+def test_solve_probes_see_the_greedy_loop():
+    # The traced ``core.*`` and ``uncertainty.*`` rows come from probes on
+    # the greedy loop's solvers and engines; a loop that stopped calling
+    # them through the probed names would zero those rows silently.
+    spans = _load_spans()
+
+    workload = uniqueness_workload(generate_urx(60, 2), window_width=3, gamma=100.0)
+    database = workload.database
+    steps = []
+    recorded = _record(
+        spans,
+        {"core.solve", "core.benefit_evals"},
+        lambda: GreedyMinVar(workload.query_function)._run(
+            database, database.total_cost * 0.2, record_steps=steps
+        ),
+    )
+    assert len(recorded) == 1 and recorded[0][1] == "core.solve"
+    assert steps and recorded[0][7] == len(steps)
+    assert recorded[0][8].get("core.benefit_evals", 0) > 0
+
+    rng = np.random.default_rng(4)
+    n = 30
+    normal = UncertainDatabase.from_normal_arrays(
+        current_values=rng.uniform(20.0, 80.0, n),
+        stds=rng.uniform(2.0, 9.0, n),
+        costs=rng.uniform(1.0, 10.0, n),
+    )
+    claim = LinearClaim({i: float(rng.uniform(0.5, 1.5)) for i in range(n)})
+    model = GaussianWorldModel(
+        normal.current_values, banded_covariance(normal.stds, bandwidth=3, rho=0.7)
+    )
+    steps = []
+    recorded = _record(
+        spans,
+        {"core.solve", "uncertainty.gains", "uncertainty.condition"},
+        lambda: GreedyDep(claim, model)._run(
+            normal, normal.total_cost * 0.3, record_steps=steps
+        ),
+    )
+    names = [span[1] for span in recorded]
+    (solve,) = [span for span in recorded if span[1] == "core.solve"]
+    assert steps and solve[7] == len(steps)
+    # One downdate per pick, and one gains pass per pick plus the standalone one.
+    assert names.count("uncertainty.condition") == len(steps)
+    assert names.count("uncertainty.gains") == len(steps) + 1
+    assert all(span[4] == solve[0] for span in recorded if span is not solve)

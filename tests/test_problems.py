@@ -77,6 +77,11 @@ class TestMinVarProblem:
         with pytest.raises(ValueError):
             MinVarProblem(db(), LinearClaim({0: 1.0}), budget=-1.0)
 
+    def test_rejects_nan_budget(self):
+        # ``nan < 0`` is false, so a plain sign test let NaN through.
+        with pytest.raises(ValueError, match="budget"):
+            MinVarProblem(db(), LinearClaim({0: 1.0}), budget=float("nan"))
+
     def test_n_objects(self):
         assert MinVarProblem(db(), LinearClaim({0: 1.0}), budget=1.0).n_objects == 3
 
@@ -89,6 +94,14 @@ class TestMaxPrProblem:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
             MaxPrProblem(db(), SumClaim([0]), budget=1.0, tau=-0.1)
+
+    @pytest.mark.parametrize(
+        "budget, tau, match",
+        [(float("nan"), 0.0, "budget"), (-1.0, 0.0, "budget"), (1.0, float("nan"), "tau")],
+    )
+    def test_rejects_nan_budget_or_tau(self, budget, tau, match):
+        with pytest.raises(ValueError, match=match):
+            MaxPrProblem(db(), SumClaim([0]), budget=budget, tau=tau)
 
     def test_plan_and_feasibility(self):
         problem = MaxPrProblem(db(), SumClaim([0]), budget=2.0)

@@ -166,6 +166,14 @@ class TestMonteCarloSurprise:
         claim = LinearClaim({0: 1.0})
         assert surprise_probability_monte_carlo(db, claim, [], rng) == 0.0
 
+    @pytest.mark.parametrize("samples", [0, -2, 2.5, True])
+    def test_samples_must_be_a_positive_integer(self, rng, samples):
+        # 0 used to divide by zero and 2.5 to fail inside np.tile.
+        with pytest.raises(ValueError, match="samples"):
+            surprise_probability_monte_carlo(
+                example5_db(), LinearClaim({0: 1.0}), [1], rng, samples=samples
+            )
+
 
 class TestMakeSurpriseCalculator:
     def test_auto_prefers_normal(self, normal_database):

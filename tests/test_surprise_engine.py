@@ -11,7 +11,9 @@
   which enumerates discrete joint supports with ``itertools.product``).
 * **Trace slices == from-scratch solves** on the crossing instance.
 * **Every registered matrix workload the engine serves** gets the selections
-  of the per-set ``greedy_select`` loop GreedyMaxPr ran before the engine.
+  of the per-set reference loop GreedyMaxPr ran before the engine; the
+  mixed workload the engine does not serve gets them from the per-set
+  Monte-Carlo loop, drawing the same random numbers.
 """
 
 import numpy as np
@@ -240,12 +242,20 @@ class TestMatrixWorkloads:
         workload = get_workload_spec(name).build(n=40, seed=cell_seed(0, name))
         database = workload.database
         claim = workload.linear_function()
-        if SurpriseBase.build(database, claim) is None:
-            # Only a mixed database leaves the engine: it stays on the
-            # per-set Monte-Carlo loop.
-            assert not (database.all_normal() or database.all_discrete())
-            return
         budgets = [budget_from_fraction(database, f) for f in (0.05, 0.1, 0.2)]
+        if SurpriseBase.build(database, claim) is None:
+            # Only a mixed database leaves the engine: the per-set
+            # Monte-Carlo loop, which must draw the reference's numbers.
+            assert not (database.all_normal() or database.all_discrete())
+            for budget in budgets:
+                benefit = oracle.SurpriseBenefit(
+                    claim, database, monte_carlo_samples=400, rng=np.random.default_rng(0)
+                )
+                solver = GreedyMaxPr(claim, monte_carlo_samples=400, rng=np.random.default_rng(0))
+                assert solver.select_indices(database, budget) == oracle.greedy_maxpr_per_set(
+                    database, budget, benefit
+                )
+            return
         trace = GreedyMaxPr(claim).trace(database, max(budgets))
         benefit = oracle.SurpriseBenefit(claim, database)
         for budget in budgets:
