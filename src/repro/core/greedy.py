@@ -260,8 +260,11 @@ class _DecomposedGains(_VectorGains):
     with it (Theorem 3.8).  EV's submodularity (Lemma 3.5) means gains grow
     as the selection does, so CELF-style lazy evaluation with stale upper
     bounds would *not* be exact here — this invalidation scheme is.  A warm
-    start scores every object against the prefix (memoized by the
-    calculator, so mostly cache reads).
+    start follows the same rule: it copies the standalone gains and
+    re-scores only the prefix members' neighbours.  Neighbour sets are
+    symmetric, so no piece of any other object's gain reads the prefix, and
+    its standalone entry is the very float ``marginal_gain(prefix, i)``
+    would return.
     """
 
     def __init__(self, calculator: DecomposedEVCalculator, selected: Sequence[int]):
@@ -270,16 +273,14 @@ class _DecomposedGains(_VectorGains):
         # a warm-started streaming re-solve re-prices a handful of entries.
         self._standalone = calculator.standalone_gains()
         self.selected = frozenset(selected)
+        self._gains = self._standalone.copy()  # read-only; select writes
         if selected:
-            self._gains = np.array(
-                [
-                    calculator.marginal_gain(self.selected, i)
-                    for i in range(len(calculator.database))
-                ],
-                dtype=float,
-            )
-        else:
-            self._gains = self._standalone.copy()  # read-only; select writes
+            touched: set = set()
+            for index in self.selected:
+                touched |= calculator.neighbours(index)
+            self._gains[list(self.selected)] = 0.0
+            for i in sorted(touched - self.selected):
+                self._gains[i] = calculator.marginal_gain(self.selected, i)
 
     def select(self, index: int) -> List[int]:
         calculator = self.calculator

@@ -79,8 +79,9 @@ def surprise_probability_exact(
     Only the cleaned objects are random; everything else stays at its current
     value, so the enumeration is over ``V_T`` alone (restricted further to the
     objects the query function references — cleaned objects the function
-    ignores cannot change ``f``).  The joint support is evaluated in batched
-    ``(worlds, n)`` blocks with ``evaluate_batch``.
+    ignores cannot change ``f``).  The joint support is decoded and evaluated
+    in batched ``(worlds, n)`` blocks with ``evaluate_batch``, so memory stays
+    bounded however many worlds there are.
     """
     cleaned_set = sorted(set(int(i) for i in cleaned))
     if not cleaned_set:
@@ -92,11 +93,8 @@ def surprise_probability_exact(
     if not relevant:
         return 0.0
 
-    worlds, probabilities = database.joint_support_arrays(relevant)
     probability = 0.0
-    for start in range(0, worlds.shape[0], _EXACT_BATCH_ROWS):
-        block = worlds[start : start + _EXACT_BATCH_ROWS]
-        block_probs = probabilities[start : start + _EXACT_BATCH_ROWS]
+    for block, block_probs in database.joint_support_blocks(relevant, _EXACT_BATCH_ROWS):
         matrix = np.tile(current, (block.shape[0], 1))
         matrix[:, relevant] = block
         results = function.evaluate_batch(matrix)

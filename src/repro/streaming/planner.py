@@ -19,15 +19,19 @@ the plan is then repaired, not recomputed:
    a verify-walk — only objects sharing a perturbation term or an
    interacting pair with the changed object can have moved (Theorem
    3.8's locality), so each kept step only has to beat the best
-   *affected* challenger at the same loop state.  Both rules truncate
-   conservatively on ties: a shorter prefix never changes the answer,
-   it only does a little more resume work.
+   *affected* challenger at the same loop state.  A challenger is
+   scored once and re-scored only after a kept step lands in its own
+   neighbourhood, the only way the prefix can reach its gain.  Both
+   rules truncate conservatively on ties: a shorter prefix never
+   changes the answer, it only does a little more resume work.
 2. **Resume through the solver's own machinery.**  The kept prefix is
    handed to the solver's ``_run(initial_selection=...)`` hook — the
    same code path :class:`~repro.core.solver.SelectionTrace` read-backs
    use — which rebuilds the loop state conditioned on the prefix and
    continues exactly as a from-scratch run would, single-item safeguard
-   included.  Warm and cold solves therefore return identical
+   included.  On the decomposed track that rebuild starts from the
+   calculator's standalone gains and re-scores only the prefix's
+   neighbours.  Warm and cold solves therefore return identical
    selections (the equivalence the streaming tests pin down).
 3. **Reuse the conditioning state.**  The decomposed track keeps one
    :class:`~repro.core.expected_variance.DecomposedEVCalculator` alive
@@ -88,7 +92,6 @@ __all__ = ["StreamingPlanner"]
 STATE_VERSION = 1
 
 _EPS = 1e-9
-_EMPTY = frozenset()
 
 
 class StreamingPlanner:
@@ -349,7 +352,9 @@ class StreamingPlanner:
             distribution=NormalSpec(float(event.mean), float(event.std)),
             cost=float(event.cost),
         )
-        if self.track == "decomposed" and self.database.all_discrete():
+        if self.track == "decomposed":
+            # The calculator only accepts an all-discrete database, and every
+            # delta keeps it so: no need to scan the overlay per insert.
             obj = obj.discretized(points=self.discretize_points)
         self.database = self.database.with_appended([obj])
         self._inserts.append(event_to_dict(event))
@@ -452,42 +457,55 @@ class StreamingPlanner:
         By Theorem 3.8's locality only the ``changed`` objects and their
         term/pair neighbours can have moved, so the old step log is
         *verified* in loop order: at each step the best affected-and-
-        affordable challenger is re-scored against the step's recorded
-        ratio (unaffected gains are bit-identical, the calculator memo
-        makes the challenger scores cache reads), and the walk truncates
-        at the first step that is itself affected or no longer provably
-        beats the challengers.
+        affordable challenger is checked against the step's recorded ratio
+        (unaffected gains are bit-identical), and the walk truncates at the
+        first step that is itself affected or no longer provably beats the
+        challengers.  A challenger's score is computed once and reused until
+        a kept step lands in its neighbourhood: only then can the kept
+        prefix reach one of the pieces its gain reads.
         """
         calculator = self._calculator
         affected: Set[int] = set(changed)
         for index in changed:
             affected |= calculator.neighbours(index)
         costs = self.database.costs
+        limit = self.budget + _EPS
+        # Kept steps are never affected, so no challenger is ever selected.
+        challengers = [(c, float(costs[c])) for c in affected if c < len(costs)]
+        # Only a kept step inside some challenger's neighbourhood can move a
+        # cached score.
+        reach: Set[int] = set()
+        for candidate, _ in challengers:
+            reach |= calculator.neighbours(candidate)
         kept: List[SelectionStep] = []
-        selected: frozenset = _EMPTY
+        selected: Set[int] = set()
+        cached: Dict[int, float] = {}  # challenger -> gain / cost
         spent = 0.0
         for step in self._steps:
             if step.index in affected:
                 break
             ratio = step.gain / step.cost if step.cost > 0 else math.inf
+            threshold = ratio * (1.0 - 1e-12) - 1e-18
             displaced = False
-            for candidate in affected:
-                if candidate in selected or candidate >= len(costs):
+            for candidate, cost in challengers:
+                if spent + cost > limit:
                     continue
-                candidate_cost = float(costs[candidate])
-                if spent + candidate_cost > self.budget + _EPS:
-                    continue
-                challenger = (
-                    calculator.marginal_gain(selected, candidate) / candidate_cost
-                )
-                if challenger >= ratio * (1.0 - 1e-12) - 1e-18:
+                challenger = cached.get(candidate)
+                if challenger is None:
+                    challenger = cached[candidate] = (
+                        calculator.marginal_gain(frozenset(selected), candidate) / cost
+                    )
+                if challenger >= threshold:
                     displaced = True
                     break
             if displaced:
                 break
             kept.append(step)
-            selected = selected | {step.index}
+            selected.add(step.index)
             spent += step.cost
+            if step.index in reach:
+                for index in calculator.neighbours(step.index):
+                    cached.pop(index, None)
         return kept
 
     # ------------------------------------------------------------------ #
@@ -826,9 +844,6 @@ class StreamingPlanner:
         # final overlay (appended tuple + delta dicts in chronological
         # order) is identical to the interleaved original.
         db = database
-        base_all_discrete = (
-            database.all_discrete() if track == "decomposed" else False
-        )
         appended: List[UncertainObject] = []
         for wire in planner._inserts:
             event = event_from_dict(wire)
@@ -838,7 +853,7 @@ class StreamingPlanner:
                 distribution=NormalSpec(float(event.mean), float(event.std)),
                 cost=float(event.cost),
             )
-            if track == "decomposed" and base_all_discrete:
+            if track == "decomposed":
                 obj = obj.discretized(points=planner.discretize_points)
             appended.append(obj)
         if appended:

@@ -10,7 +10,8 @@ exposes:
   independent errors, the setting of Lemmas 3.2--3.6 and Theorem 3.8), both
   as a lazy generator (:meth:`UncertainDatabase.enumerate_joint_support`) and
   as batched ``(worlds, k)`` arrays (:meth:`UncertainDatabase.joint_support_arrays`)
-  for the vectorized kernels;
+  for the vectorized kernels, whole or in bounded blocks
+  (:meth:`UncertainDatabase.joint_support_blocks`);
 * world sampling (for Monte-Carlo estimators and the "in action" experiments),
   batched column-by-column through ``distribution.sample(rng, size)``;
 * conditioning: producing the database that results from cleaning a subset of
@@ -687,6 +688,67 @@ class UncertainDatabase:
         indices = list(indices)
         if not indices:
             return np.zeros((1, 0), dtype=float), np.ones(1, dtype=float)
+        supports, weights = self._discrete_supports(indices)
+        value_grids = np.meshgrid(*supports, indexing="ij")
+        values_matrix = np.stack([grid.reshape(-1) for grid in value_grids], axis=1)
+        probabilities = np.ones(values_matrix.shape[0], dtype=float)
+        for grid in np.meshgrid(*weights, indexing="ij"):
+            probabilities = probabilities * grid.reshape(-1)
+        keep = probabilities > 0.0
+        if not keep.all():
+            values_matrix = values_matrix[keep]
+            probabilities = probabilities[keep]
+        return values_matrix, probabilities
+
+    def joint_support_blocks(
+        self, indices: Sequence[int], rows: int
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """:meth:`joint_support_arrays` cut into blocks of ``rows`` worlds.
+
+        Yields ``(values_matrix, probabilities)`` pairs whose concatenation
+        is exactly ``joint_support_arrays(indices)``: the same rows in the
+        same order, the same probability products and no zero-probability
+        worlds, in consecutive blocks of ``rows`` kept worlds (the last one
+        may be shorter).  Each world is decoded from its row number (mixed
+        radix, last index fastest) instead of a full ``meshgrid``, so memory
+        stays ``O(rows * len(indices))`` however large the joint support is.
+        """
+        indices = list(indices)
+        if not indices:
+            yield np.zeros((1, 0), dtype=float), np.ones(1, dtype=float)
+            return
+        supports, weights = self._discrete_supports(indices)
+        sizes = [values.size for values in supports]
+        total = math.prod(sizes)
+        carried_values = np.zeros((0, len(indices)), dtype=float)
+        carried_probs = np.zeros(0, dtype=float)
+        for start in range(0, total, rows):
+            remainder = np.arange(start, min(start + rows, total), dtype=np.int64)
+            digits = [None] * len(sizes)
+            for j in range(len(sizes) - 1, -1, -1):
+                remainder, digits[j] = np.divmod(remainder, sizes[j])
+            values = np.stack([support[d] for support, d in zip(supports, digits)], axis=1)
+            probabilities = np.ones(values.shape[0], dtype=float)
+            for masses, d in zip(weights, digits):
+                probabilities = probabilities * masses[d]
+            keep = probabilities > 0.0
+            if not keep.all():
+                values = values[keep]
+                probabilities = probabilities[keep]
+            if carried_probs.size:
+                values = np.concatenate((carried_values, values))
+                probabilities = np.concatenate((carried_probs, probabilities))
+            if probabilities.size >= rows:
+                yield values[:rows], probabilities[:rows]
+                values, probabilities = values[rows:], probabilities[rows:]
+            carried_values, carried_probs = values, probabilities
+        if carried_probs.size:
+            yield carried_values, carried_probs
+
+    def _discrete_supports(
+        self, indices: Sequence[int]
+    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Support values and masses of ``indices``; TypeError on a continuous one."""
         supports = []
         weights = []
         for i in indices:
@@ -698,16 +760,7 @@ class UncertainDatabase:
                 )
             supports.append(dist.values)
             weights.append(dist.probabilities)
-        value_grids = np.meshgrid(*supports, indexing="ij")
-        values_matrix = np.stack([grid.reshape(-1) for grid in value_grids], axis=1)
-        probabilities = np.ones(values_matrix.shape[0], dtype=float)
-        for grid in np.meshgrid(*weights, indexing="ij"):
-            probabilities = probabilities * grid.reshape(-1)
-        keep = probabilities > 0.0
-        if not keep.all():
-            values_matrix = values_matrix[keep]
-            probabilities = probabilities[keep]
-        return values_matrix, probabilities
+        return supports, weights
 
     def joint_support_size(self, indices: Sequence[int]) -> int:
         """Number of joint outcomes for the objects at ``indices``."""

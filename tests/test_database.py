@@ -164,6 +164,29 @@ class TestWorldEnumeration:
         with pytest.raises(TypeError):
             normal_database.joint_support_size([0])
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 4096])
+    def test_blocks_concatenate_to_the_joint_support_arrays(self, rows):
+        # Zero-mass support points drop whole worlds, so a decoded block can
+        # come up short and its kept rows carry into the next one.
+        rng = np.random.default_rng(0)
+        objects = []
+        for i in range(6):
+            masses = rng.uniform(0.1, 1.0, 3)
+            masses[i % 3] = 0.0
+            objects.append(UncertainObject(f"z{i}", 0.0, DiscreteDistribution(rng.normal(size=3), masses)))
+        db = UncertainDatabase(objects)
+        for indices in ([0, 1, 2, 3, 4, 5], [5, 3, 1], [2], []):
+            worlds, probabilities = db.joint_support_arrays(indices)
+            blocks = list(db.joint_support_blocks(indices, rows))
+            assert all(block[1].size == rows for block in blocks[:-1])
+            assert 0 < blocks[-1][1].size <= rows
+            np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), worlds)
+            np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), probabilities)
+
+    def test_blocks_require_discrete(self, normal_database):
+        with pytest.raises(TypeError):
+            list(normal_database.joint_support_blocks([0], 8))
+
 
 class TestSampling:
     def test_sample_world_shape(self, rng):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import policies as oracle
+from repro.claims import lower_is_stronger, subtraction_strength
 from repro.claims.functions import LinearClaim, SumClaim, ThresholdClaim, WindowSumClaim
-from repro.claims.perturbations import PerturbationSet
-from repro.claims.quality import Duplicity
+from repro.claims.perturbations import PerturbationSet, window_sum_perturbations
+from repro.claims.quality import Duplicity, Fragility
 from repro.core.adaptive import AdaptiveDep, AdaptiveMaxPr, AdaptiveMinVar, ground_truth_oracle
 from repro.core.entropy import GreedyMinEntropy, expected_entropy
 from repro.core.expected_variance import (
@@ -346,6 +347,26 @@ def _decomposed_minvar():
     return database, lambda: GreedyMinVar(measure), lambda: calculator.marginal_gain, False
 
 
+def _overlapping_minvar(measure_cls, strength):
+    """Decomposed GreedyMinVar over one-step sliding windows (interacting term pairs)."""
+
+    def build():
+        n = 30
+        database = generate_urx(n, 4, max_support=4)
+        perturbations = window_sum_perturbations(
+            n_objects=n, width=3, original_start=n - 3, non_overlapping=False, include_original=True
+        )
+        baseline = float(database.current_values[n - 3 :].sum())
+        measure = measure_cls(
+            perturbations, database.current_values, strength=strength, baseline=baseline
+        )
+        calculator = DecomposedEVCalculator(database, measure)  # its own memo
+        assert calculator.interacting_pairs
+        return database, lambda: GreedyMinVar(measure), lambda: calculator.marginal_gain, False
+
+    return build
+
+
 def _generic_ev_minvar():
     database = _small_discrete(5)
     claim = ThresholdClaim(SumClaim(range(5)), threshold=45.0, op=">=")
@@ -397,6 +418,8 @@ class TestMatchesReferenceLoop:
 
     CASES = {
         "decomposed-minvar": _decomposed_minvar,
+        "overlapping-duplicity-minvar": _overlapping_minvar(Duplicity, lower_is_stronger),
+        "overlapping-fragility-minvar": _overlapping_minvar(Fragility, subtraction_strength),
         "generic-ev-minvar": _generic_ev_minvar,
         "min-entropy": _min_entropy,
         "monte-carlo-maxpr": _monte_carlo_maxpr,

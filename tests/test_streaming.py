@@ -16,7 +16,12 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.claims import lower_is_stronger, subtraction_strength
 from repro.claims.functions import LinearClaim
+from repro.claims.perturbations import window_sum_perturbations
+from repro.claims.quality import Duplicity, Fragility
+from repro.core import greedy
+from repro.core.expected_variance import DecomposedEVCalculator
 from repro.core.greedy import GreedyMaxPr, GreedyMinVar
 from repro.datasets.synthetic import generate_urx
 from repro.experiments.workloads import uniqueness_workload
@@ -307,6 +312,129 @@ def test_decomposed_track_matches_cold_after_every_event(seed):
     assert planner.track == "decomposed"
     journal = synthesize_journal(workload.database, 12, seed=500 + seed)
     _assert_warm_equals_cold(planner, journal)
+
+
+def _overlapping(measure_cls, n: int, seed: int):
+    """A measure over one-step sliding windows: term pairs interact, so an
+    object's neighbours reach past its own terms."""
+    database = generate_urx(n, seed, max_support=4)
+    perturbations = window_sum_perturbations(
+        n_objects=n, width=3, original_start=n - 3, non_overlapping=False, include_original=True
+    )
+    baseline = float(database.current_values[n - 3 :].sum())
+    strength = lower_is_stronger if measure_cls is Duplicity else subtraction_strength
+    measure = measure_cls(perturbations, database.current_values, strength=strength, baseline=baseline)
+    return database, measure
+
+
+@pytest.mark.parametrize("measure_cls", [Duplicity, Fragility])
+def test_decomposed_track_with_interacting_pairs_matches_cold(measure_cls):
+    database, measure = _overlapping(measure_cls, 24, 1)
+    assert DecomposedEVCalculator(database, measure).interacting_pairs
+    planner = StreamingPlanner(database, measure, budget=0.3 * database.total_cost)
+    journal = synthesize_journal(database, 10, seed=7)
+    _assert_warm_equals_cold(planner, journal)
+    assert planner.warm_solves == 10
+
+
+def _uniqueness_planner(n: int, seed: int) -> StreamingPlanner:
+    workload = uniqueness_workload(generate_urx(n, seed), window_width=4, gamma=100.0)
+    return StreamingPlanner(
+        workload.database, workload.query_function, budget=0.15 * workload.database.total_cost
+    )
+
+
+def _step_log(steps):
+    return [(step.index, step.cost, step.gain) for step in steps]
+
+
+@pytest.mark.parametrize(
+    "case", ["uniqueness-1", "uniqueness-2", "uniqueness-3", "uniqueness-4", "duplicity", "fragility"]
+)
+def test_decomposed_step_log_equals_cold_run(case):
+    """The kept prefix plus the resumed steps are the cold run's step log, float for float.
+
+    The remaining budgets are left out: a warm start sums the prefix's costs
+    in one pass, a cold run one pick at a time.
+    """
+    if case.startswith("uniqueness"):
+        seed = int(case.split("-")[1])
+        planner = _uniqueness_planner(400, seed)
+        journal = synthesize_journal(planner.database, 20, seed=600 + seed)
+    else:
+        database, measure = _overlapping(Duplicity if case == "duplicity" else Fragility, 24, 2)
+        planner = StreamingPlanner(database, measure, budget=0.3 * database.total_cost)
+        journal = synthesize_journal(database, 10, seed=8)
+    compared = 0
+    for event in journal:
+        planner.apply(event)
+        if not planner.steps:  # the safeguard replaced the greedy selection
+            continue
+        cold: list = []
+        GreedyMinVar(planner.function)._run(planner.database, planner.budget, record_steps=cold)
+        assert _step_log(planner.steps) == _step_log(cold), event
+        compared += 1
+    assert compared >= len(journal) // 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decomposed_replan_work_stays_in_the_neighbourhood(seed, monkeypatch):
+    """Each event's re-plan scores fewer than n/2 candidates, and the warm
+    start re-scores only the kept prefix's neighbours."""
+    n = 400
+    planner = _uniqueness_planner(n, seed)
+    journal = synthesize_journal(planner.database, 30, seed=seed)
+    calls = []
+    warm_starts = []
+    marginal_gain = DecomposedEVCalculator.marginal_gain
+
+    def counted(calculator, cleaned, candidate):
+        calls.append((cleaned, candidate))
+        return marginal_gain(calculator, cleaned, candidate)
+
+    engine_init = greedy._DecomposedGains.__init__
+
+    def recorded_init(engine, calculator, selected):
+        first = len(calls)
+        engine_init(engine, calculator, selected)
+        warm_starts.append((calculator, list(selected), calls[first:]))
+
+    monkeypatch.setattr(DecomposedEVCalculator, "marginal_gain", counted)
+    monkeypatch.setattr(greedy._DecomposedGains, "__init__", recorded_init)
+    prefixes_checked = 0
+    for event in journal:
+        calls.clear()
+        warm_starts.clear()
+        planner.apply(event)
+        assert planner.last_mode != "cold"
+        assert len(calls) < n // 2, (event, len(calls))
+        for calculator, prefix, made in warm_starts:
+            reach = set()
+            for index in prefix:
+                reach |= calculator.neighbours(index)
+            scored = {candidate for cleaned, candidate in made if cleaned}
+            assert scored <= reach - set(prefix)
+            prefixes_checked += bool(prefix)
+    assert prefixes_checked >= len(journal) // 2
+
+
+def test_decomposed_insert_does_not_scan_the_database(monkeypatch):
+    """The decomposed track is all-discrete by construction: an insert
+    discretizes the new object without asking the database."""
+    planner = _uniqueness_planner(60, 4)
+
+    def refuse(database):
+        raise AssertionError("all_discrete() called during an insert")
+
+    monkeypatch.setattr(UncertainDatabase, "all_discrete", refuse)
+    summary = planner.apply(
+        InsertEvent(name="late", current_value=3.0, mean=3.0, std=1.0, cost=2.0)
+    )
+    assert summary["mode"] != "cold"
+    assert planner.cold_solves == 0
+    monkeypatch.undo()
+    assert planner.database.all_discrete()
+    assert planner.plan == planner.cold_plan()
 
 
 def test_dependency_marginal_mode_matches_cold():

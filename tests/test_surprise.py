@@ -1,5 +1,7 @@
 """Unit tests for repro.core.surprise (the MaxPr objective)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -68,6 +70,30 @@ class TestExactSurprise:
         # f(u) = 1; drop below 1 - 0 requires the indicator to become 0:
         # X1 + 1 < 1 never happens, so probability 0 when cleaning X1 alone.
         assert surprise_probability_exact(db, indicator, [0], tau=0.0) == 0.0
+
+
+class TestExactSurpriseMemory:
+    def test_large_joint_support_is_enumerated_in_bounded_blocks(self):
+        # 3**12 = 531,441 worlds: a full meshgrid of them peaks above 60 MB.
+        objects = [
+            UncertainObject(
+                f"t{i}",
+                1.0 + 0.1 * i,
+                DiscreteDistribution([0.0, 1.0 + 0.1 * i, 2.5], [0.2, 0.5, 0.3]),
+            )
+            for i in range(12)
+        ]
+        db = UncertainDatabase(objects)
+        claim = LinearClaim.from_vector(np.linspace(0.5, 1.5, 12))
+        tracemalloc.start()
+        try:
+            p = surprise_probability_exact(db, claim, range(12), tau=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # The value the whole-support enumeration returns, to the last bit.
+        assert p == float.fromhex("0x1.e135f5eb9cb2cp-2")
 
 
 class TestDiscreteLinearSurprise:
